@@ -212,14 +212,7 @@ def expected_forge_cost(
 def _clicks(params: ProtocolParams, click_matrix) -> np.ndarray:
     if click_matrix is None:
         return params.click_matrix()
-    entries = (
-        click_matrix.entries
-        if isinstance(click_matrix, security.CostMatrix)
-        else np.asarray(click_matrix, dtype=float)
-    )
-    if entries.shape != (N_PHASES, N_PHASES):
-        raise ValueError(f"click matrix must be 4x4, got shape {entries.shape}")
-    return entries
+    return security.cost_entries(click_matrix)
 
 
 def passive_forge_run(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from pathlib import Path
@@ -73,21 +72,20 @@ def _write_csv(path, header, rows):
 def _load_config(args) -> ExperimentConfig:
     cfg = config_mod.preset(args.preset) if args.preset else ExperimentConfig()
     if args.config:
-        if args.preset:
-            # file keys overlay the preset
-            try:
-                with open(args.config) as f:
-                    overlay = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.config}: invalid JSON: {exc}") from exc
-            cfg = config_mod.config_from_dict({**config_mod.PRESETS[args.preset], **overlay})
-        else:
-            cfg = config_mod.load_config(args.config)
+        # file keys overlay the preset (or the defaults)
+        overlay = config_mod.read_config_file(args.config)
+        cfg = config_mod.config_from_dict({**cfg.to_dict(), **overlay})
     if args.seed is not None:
         cfg = cfg.replace(seed=args.seed)
     if args.trials is not None:
         cfg = cfg.replace(trials=args.trials)
     return cfg
+
+
+def _runs(cfg: ExperimentConfig) -> int:
+    if cfg.trials < 1:
+        raise ConfigError(f"field 'trials' must be >= 1 for this command, got {cfg.trials}")
+    return cfg.trials
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -141,7 +139,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_path) -> int:
     streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.sweep_grid))
     rows = []
     for a2, ss in zip(cfg.sweep_grid, streams):
-        rates = detection.measurement_rates(cfg.receiver_intensity(a2), det)
+        i_rx = cfg.receiver_intensity(a2)
+        rates = detection.measurement_rates(i_rx, det)
         row = [
             a2,
             rates.elimination_success,
@@ -151,16 +150,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_path) -> int:
         ]
         if mc:
             rng = np.random.default_rng(ss)
-            i_rx = cfg.receiver_intensity(a2)
-            v = det.visibility
-            probs = np.array(
-                [
-                    detection.click_probability(i_rx * (1 - v) / 2, det),
-                    detection.click_probability(i_rx / 2, det),
-                    detection.click_probability(i_rx * (1 + v) / 2, det),
-                    detection.click_probability(i_rx / 2, det),
-                ]
-            )
+            probs = detection.phase_click_matrix(i_rx, det)[0]  # phase 0 sent
             clicks = rng.random((cfg.trials, 4)) < probs
             err_click = clicks[:, 0]  # detector that rules out the sent state
             others = clicks[:, 1:]
@@ -206,7 +196,7 @@ def cmd_bounds(cfg: ExperimentConfig, matrix_path, out_path) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig, out_path) -> int:
     params = cfg.protocol_params()
-    runs = max(cfg.trials, 1)
+    runs = _runs(cfg)
     streams = np.random.SeedSequence(cfg.seed).spawn(runs)
     outcome_names = [o.value for o in protocol.Outcome]
     bob_counts = dict.fromkeys(outcome_names, 0)
@@ -221,10 +211,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_path) -> int:
         res = protocol.run_honest_exchange(params, np.random.default_rng(ss))
         key = res.distribution.keys[res.message_bit]
         for view in (res.distribution.bob[res.message_bit], res.distribution.charlie[res.message_bit]):
-            for i in range(4):
-                sel = key.phases == i
-                pulses[i] += int(sel.sum())
-                clicks[i] += view.eliminations[sel].sum(axis=0)
+            c, n = security.count_clicks(key.phases, view.eliminations)
+            clicks += c
+            pulses += n
         bob_counts[res.bob_outcome.value] += 1
         charlie_counts[res.charlie_outcome.value] += 1
         sum_mismatch_b += res.bob_mismatches
@@ -243,7 +232,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_path) -> int:
             ]
         )
         last = res
-    estimated = security.CostMatrix(clicks / pulses[:, None], pulses)
+    estimated = security.cost_matrix_from_counts(clicks, pulses)
     total = runs * params.length
     pairs = [
         ("runs", runs),
@@ -291,7 +280,7 @@ def cmd_attack(cfg: ExperimentConfig, args) -> int:
     measured = security.read_cost_matrix(args.cost_matrix) if args.cost_matrix else None
     params = cfg.protocol_params(measured)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    runs = max(cfg.trials, 1)
+    runs = _runs(cfg)
     governing = measured.entries if measured is not None else params.click_matrix()
 
     if args.kind == "repudiate":

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from . import detection, discrimination, security
@@ -122,14 +123,9 @@ class ExperimentConfig:
         """
         if self.auth_threshold is not None:
             return self.auth_threshold, self.verify_threshold
-        entries = (
-            cost_matrix.entries
-            if isinstance(cost_matrix, security.CostMatrix)
-            else cost_matrix
-        )
-        if entries is None:
-            entries = self.analytic_click_matrix()
-        dec = security.decompose(entries)
+        if cost_matrix is None:
+            cost_matrix = self.analytic_click_matrix()
+        dec = security.decompose(cost_matrix)
         bounds = security.bound_min_cost(
             dec, discrimination.min_error_probability(self.alpha_sq)
         )
@@ -166,6 +162,13 @@ _FIELD_NAMES = {f.name for f in dataclasses.fields(ExperimentConfig)}
 _INT_FIELDS = {"length", "seed", "trials"}
 
 
+def _number(key: str, value) -> float:
+    # JSON true/false are ints to Python, and float() would accept strings
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"field '{key}' must be a number, got {value!r}")
+    return float(value)
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"configuration must be a mapping, got {type(data).__name__}")
@@ -177,29 +180,33 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if key == "sweep_grid":
             if not isinstance(value, (list, tuple)):
                 raise ConfigError(f"field 'sweep_grid' must be a list, got {value!r}")
-            kwargs[key] = tuple(float(x) for x in value)
+            kwargs[key] = tuple(_number(key, x) for x in value)
         elif key in _INT_FIELDS:
-            if value != int(value):
+            if _number(key, value) != int(value):
                 raise ConfigError(f"field '{key}' must be an integer, got {value!r}")
             kwargs[key] = int(value)
         elif key in ("auth_threshold", "verify_threshold", "null_abort_fraction"):
-            kwargs[key] = None if value is None else float(value)
+            kwargs[key] = None if value is None else _number(key, value)
         else:
-            try:
-                kwargs[key] = float(value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"field '{key}' must be a number, got {value!r}") from None
+            kwargs[key] = _number(key, value)
     return ExperimentConfig(**kwargs)
 
 
-def load_config(path) -> ExperimentConfig:
-    """Read a JSON configuration file (flat keys, see ExperimentConfig)."""
+def read_config_file(path) -> dict:
+    """The JSON object of a configuration file, keyed by field name."""
     try:
         with open(path) as f:
             data = json.load(f)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-    return config_from_dict(data)
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: configuration must be a JSON object, got {type(data).__name__}")
+    return data
+
+
+def load_config(path) -> ExperimentConfig:
+    """Read a JSON configuration file (flat keys, see ExperimentConfig)."""
+    return config_from_dict(read_config_file(path))
 
 
 # Named parameter sets. "paper-2014" is the tabletop demonstration the

@@ -78,27 +78,6 @@ def visibility_adjusted_intensity(
     return (intensity(s) + intensity(r)) / 4.0 - visibility * cross / 2.0
 
 
-def elimination_click_probs(
-    signal: complex, reference: complex, det: DetectorModel
-) -> np.ndarray:
-    """Click probabilities of the four elimination detectors, index = phase ruled out."""
-    return np.array(
-        [
-            click_probability(
-                visibility_adjusted_intensity(signal, reference, k, det.visibility),
-                det,
-            )
-            for k in range(4)
-        ]
-    )
-
-
-def sample_clicks(intensities, det: DetectorModel, rng: np.random.Generator) -> np.ndarray:
-    """Sample one click pattern (bool per detector) for the given mode intensities."""
-    probs = np.array([click_probability(float(i), det) for i in intensities])
-    return rng.random(len(probs)) < probs
-
-
 def phase_click_matrix(intensity_into_receiver: float, det: DetectorModel) -> np.ndarray:
     """Analytic click matrix of an honest transmission.
 

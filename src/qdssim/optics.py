@@ -8,7 +8,6 @@ never need field operators, only the amplitude algebra.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -122,7 +121,3 @@ def elimination_receiver(signal: complex, reference: complex) -> EliminationMode
         (s + r * 1j) / 2.0,
     )
 
-
-def phase_of(a: complex) -> float:
-    """Argument of an amplitude in radians, in (-pi, pi]."""
-    return cmath.phase(complex(a))

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -165,23 +164,6 @@ class RecipientView:
 
     def null_count(self) -> int:
         return int(self.null_clicks.sum())
-
-
-class EliminationRecord(NamedTuple):
-    """One stored element, as it would sit in a recipient's notebook."""
-
-    message_bit: int
-    index: int
-    ruled_out: tuple[bool, bool, bool, bool]
-    null_click: bool
-
-
-def iter_records(message_bit: int, view: RecipientView):
-    """Yield the per-element records of a recipient view."""
-    for i in range(len(view.null_clicks)):
-        yield EliminationRecord(
-            message_bit, i, tuple(bool(x) for x in view.eliminations[i]), bool(view.null_clicks[i])
-        )
 
 
 @dataclass(frozen=True)
@@ -338,15 +320,15 @@ def read_transcript(path) -> Transcript:
     """Parse a transcript file written by ``write_transcript``."""
     key_phases = None
     with open(path) as f:
-        head = f.readline()
-        if head.startswith("# key "):
-            digits = head.split()[2]
-            key_phases = np.array([int(c) for c in digits], dtype=np.int8)
-            body = f
+        head = f.readline().split()
+        if head[:2] == ["#", "key"]:
+            digits = np.frombuffer("".join(head[2:]).encode(), dtype=np.uint8) - ord("0")
+            if len(head) != 3 or (digits > 3).any():
+                raise ValueError("line 1: key header must hold one phase digit 0..3 per element")
+            key_phases = digits.astype(np.int8)
         else:
             f.seek(0)
-            body = f
-        data = np.loadtxt(body, dtype=np.int64, ndmin=2)
+        data = np.loadtxt(f, dtype=np.int64, ndmin=2)
     if data.shape[1] != 7:
         raise ValueError(f"expected 7 columns per line, got {data.shape[1]}")
     bits = np.unique(data[:, 0])

@@ -62,9 +62,10 @@ class CostMatrix:
         e = np.asarray(self.entries, dtype=float)
         if e.shape != (N_PHASES, N_PHASES):
             raise ValueError(f"cost matrix must be 4x4, got shape {e.shape}")
-        if not np.isfinite(e).all():
+        lo, hi = e.min(), e.max()  # a NaN or an infinity shows in the extremes
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("cost matrix entries must be finite")
-        if e.min() < 0.0 or e.max() > 1.0:
+        if lo < 0.0 or hi > 1.0:
             raise ValueError("cost matrix entries must lie in [0, 1]")
         object.__setattr__(self, "entries", e)
         if self.pulse_counts is not None:
@@ -79,6 +80,40 @@ class CostMatrix:
             raise ValueError("standard errors need pulse counts")
         p = self.entries
         return np.sqrt(p * (1.0 - p) / self.pulse_counts[:, None])
+
+
+def cost_entries(matrix) -> np.ndarray:
+    """The validated 4x4 entries of a CostMatrix or of any array-like."""
+    return matrix.entries if isinstance(matrix, CostMatrix) else CostMatrix(matrix).entries
+
+
+def count_clicks(phases, eliminations) -> tuple[np.ndarray, np.ndarray]:
+    """Click and pulse counts of one record with known sent phases.
+
+    ``phases`` is an (N,) array of sent phase indices and ``eliminations``
+    the matching (N, 4) boolean elimination record. Returns the 4x4 counts
+    of (sent i, eliminated j) clicks and the per-state pulse counts.
+    """
+    phases = np.asarray(phases, dtype=np.intp)
+    elims = np.asarray(eliminations)
+    if elims.shape != (len(phases), N_PHASES):
+        raise ValueError(
+            f"eliminations shape {elims.shape} does not match {len(phases)} phases"
+        )
+    if len(phases) and (phases.min() < 0 or phases.max() >= N_PHASES):
+        raise ValueError("phase indices must lie in 0..3")
+    rows, cols = np.nonzero(elims)
+    pairs = phases[rows] * N_PHASES + cols
+    clicks = np.bincount(pairs, minlength=N_PHASES * N_PHASES).reshape(N_PHASES, N_PHASES)
+    return clicks, np.bincount(phases, minlength=N_PHASES)
+
+
+def cost_matrix_from_counts(clicks, pulses) -> CostMatrix:
+    """Cost matrix of pooled click counts; every state needs a pulse."""
+    missing = np.nonzero(pulses == 0)[0]
+    if len(missing):
+        raise ValueError(f"no pulses recorded for state(s) {missing.tolist()}")
+    return CostMatrix(clicks / pulses[:, None], pulses)
 
 
 def estimate_cost_matrix(*samples) -> CostMatrix:
@@ -99,24 +134,12 @@ def estimate_cost_matrix(*samples) -> CostMatrix:
     if not samples:
         raise ValueError("at least one (phases, eliminations) pair is required")
     clicks = np.zeros((N_PHASES, N_PHASES), dtype=np.int64)
-    counts = np.zeros(N_PHASES, dtype=np.int64)
+    pulses = np.zeros(N_PHASES, dtype=np.int64)
     for phases, elims in samples:
-        phases = np.asarray(phases)
-        elims = np.asarray(elims)
-        if elims.shape != (len(phases), N_PHASES):
-            raise ValueError(
-                f"eliminations shape {elims.shape} does not match {len(phases)} phases"
-            )
-        if len(phases) and (phases.min() < 0 or phases.max() >= N_PHASES):
-            raise ValueError("phase indices must lie in 0..3")
-        for i in range(N_PHASES):
-            sel = phases == i
-            counts[i] += int(sel.sum())
-            clicks[i] += elims[sel].sum(axis=0)
-    missing = np.nonzero(counts == 0)[0]
-    if len(missing):
-        raise ValueError(f"no pulses recorded for state(s) {missing.tolist()}")
-    return CostMatrix(clicks / counts[:, None], counts)
+        c, n = count_clicks(phases, elims)
+        clicks += c
+        pulses += n
+    return cost_matrix_from_counts(clicks, pulses)
 
 
 def write_cost_matrix(path, matrix: CostMatrix):
@@ -199,9 +222,7 @@ class Decomposition:
 
 def decompose(matrix) -> Decomposition:
     """Decompose a cost matrix (CostMatrix or 4x4 array) for bounding."""
-    entries = matrix.entries if isinstance(matrix, CostMatrix) else np.asarray(matrix, dtype=float)
-    if entries.shape != (N_PHASES, N_PHASES):
-        raise ValueError(f"cost matrix must be 4x4, got shape {entries.shape}")
+    entries = cost_entries(matrix)
     diag = np.diag(entries).copy()
     baseline = np.repeat(diag[:, None], N_PHASES, axis=1)
     excess = entries - baseline
@@ -329,11 +350,16 @@ def required_length(gap: float, security_level: float) -> int:
 
     Inverts exp(-g^2 L / 8) = level, so L = ceil(8 ln(1/level) / g^2).
     """
+    gap = float(gap)  # plain float division overflows to inf without a warning
     if gap <= 0:
         raise NoProvableSecurityError(f"gap must be > 0, got {gap}")
     if not 0.0 < security_level < 1.0:
         raise ValueError(f"security_level must lie in (0, 1), got {security_level}")
-    return math.ceil(8.0 * math.log(1.0 / security_level) / (gap * gap))
+    squared = gap * gap
+    length = 8.0 * math.log(1.0 / security_level) / squared if squared else math.inf
+    if not math.isfinite(length):
+        raise NoProvableSecurityError(f"gap {gap} is too small for a finite sequence length")
+    return math.ceil(length)
 
 
 def rescale_for_loss(matrix, old_transmittance: float, new_transmittance: float) -> CostMatrix:
@@ -346,8 +372,7 @@ def rescale_for_loss(matrix, old_transmittance: float, new_transmittance: float)
     for name, t in (("old", old_transmittance), ("new", new_transmittance)):
         if not 0.0 < t <= 1.0:
             raise ValueError(f"{name} transmittance must lie in (0, 1], got {t}")
-    entries = matrix.entries if isinstance(matrix, CostMatrix) else np.asarray(matrix, dtype=float)
-    scaled = entries * (new_transmittance / old_transmittance)
+    scaled = cost_entries(matrix) * (new_transmittance / old_transmittance)
     if scaled.max() > 1.0:
         raise ValueError("rescaled entries exceed 1; linear scaling is not valid there")
     return CostMatrix(scaled)

@@ -127,6 +127,18 @@ def test_bounds_no_security_exit_code(tmp_path, capsys):
     assert "no provable security" in err
 
 
+def test_bounds_vanishing_gap_exit_code(tmp_path, capsys):
+    tiny = tmp_path / "tiny.txt"
+    tiny.write_text(
+        "\n".join(" ".join("0" if i == j else "1e-160" for j in range(4)) for i in range(4))
+        + "\n"
+    )
+    code, out, err = run_cli(capsys, "bounds", str(tiny))
+    assert code == 2
+    assert out == ""
+    assert "gap" in err and "Traceback" not in err
+
+
 def test_simulate_report_and_artifacts(tmp_path, capsys):
     out_dir = tmp_path / "sim"
     cfg = tmp_path / "cfg.json"
@@ -149,6 +161,39 @@ def test_simulate_report_and_artifacts(tmp_path, capsys):
         t = protocol.read_transcript(out_dir / name)
         assert len(t.view.null_clicks) == 5000
         assert t.key_phases is not None
+
+
+def test_simulate_cost_matrix_is_the_estimate_over_its_transcripts(tmp_path, capsys):
+    out_dir = tmp_path / "sim"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"length": 3000}))
+    code, _, _ = run_cli(
+        capsys, "simulate", "--config", str(cfg), "--preset", "paper-2014",
+        "--trials", "1", "--seed", "4", "--out", str(out_dir),
+    )
+    assert code == 0
+    pairs = []
+    for name in ("transcript_bob.txt", "transcript_charlie.txt"):
+        t = protocol.read_transcript(out_dir / name)
+        pairs.append((t.key_phases, t.view.eliminations))
+    security.write_cost_matrix(tmp_path / "replayed.txt", security.estimate_cost_matrix(*pairs))
+    assert (tmp_path / "replayed.txt").read_text() == (out_dir / "cost_matrix.txt").read_text()
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["attack", "repudiate"], ["attack", "forge_active_bound"]])
+def test_zero_trials_is_a_configuration_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--trials", "0")
+    assert code == 1
+    assert out == ""
+    assert "'trials'" in err
+
+
+def test_simulate_too_short_to_see_every_state(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"length": 2, "trials": 1}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--seed", "1")
+    assert code == 1
+    assert "no pulses recorded for state(s)" in err
 
 
 def test_simulate_deterministic(capsys, tmp_path):
@@ -240,6 +285,37 @@ def test_bad_config_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
     assert code == 1
     assert "mystery_knob" in err
+
+
+@pytest.mark.parametrize("preset", [None, "paper-2014"])
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[1, 2]", "JSON object"),
+        ('"length"', "JSON object"),
+        ('{"length": Infinity}', "'length'"),
+        ('{"seed": NaN}', "'seed'"),
+        ('{"trials": -Infinity}', "'trials'"),
+        ('{"trials": true}', "'trials'"),
+        ('{"alpha_sq": false}', "'alpha_sq'"),
+        ('{"auth_threshold": false, "verify_threshold": 0.2}', "'auth_threshold'"),
+        ('{"sweep_grid": [1.0, true]}', "'sweep_grid'"),
+        ('{"detector_efficiency": "0.5"}', "'detector_efficiency'"),
+        ('{"null_abort_fraction": "0.1"}', "'null_abort_fraction'"),
+        ('{"sweep_grid": ["1"]}', "'sweep_grid'"),
+        ('{"alpha_sq": Infinity}', "'alpha_sq'"),
+    ],
+)
+def test_malformed_config_names_the_field(tmp_path, capsys, text, named, preset):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    argv = ["sweep", "--trials", "0", "--config", str(cfg)]
+    if preset:
+        argv += ["--preset", preset]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert named in err
 
 
 def test_unknown_preset(capsys):

@@ -65,24 +65,18 @@ def test_visibility_interpolates_cross_term():
 
 
 def test_elimination_click_probs_match_receiver_modes():
-    det = DetectorModel(efficiency=0.7, dark_click_prob=1e-5)
-    s = 0.9 * 1j
-    r = 0.9
-    probs = detection.elimination_click_probs(s, r, det)
-    modes = optics.elimination_receiver(s, r).as_tuple()
-    for k in range(4):
-        assert probs[k] == pytest.approx(
-            detection.click_probability(optics.intensity(modes[k]), det), rel=1e-12
-        )
-
-
-def test_sample_clicks_deterministic_and_extreme_probs():
-    det = IDEAL_DETECTOR
-    a = detection.sample_clicks([0.9, 0.0, 50.0, 0.2], det, np.random.default_rng(5))
-    b = detection.sample_clicks([0.9, 0.0, 50.0, 0.2], det, np.random.default_rng(5))
-    assert (a == b).all()
-    assert not a[1]  # zero intensity, no dark counts, never clicks
-    assert a[2]  # essentially saturated
+    """At unit visibility each click-matrix row is the click probability of
+    the amplitude-level receiver modes for that sent phase."""
+    det = DetectorModel(efficiency=0.7, dark_click_prob=1e-5, visibility=1.0)
+    I = 0.81
+    m = detection.phase_click_matrix(I, det)
+    amp = math.sqrt(I)
+    for i in range(4):
+        modes = optics.elimination_receiver(amp * 1j**i, amp).as_tuple()
+        for k in range(4):
+            assert m[i, k] == pytest.approx(
+                detection.click_probability(optics.intensity(modes[k]), det), rel=1e-12
+            )
 
 
 def test_phase_click_matrix_structure():

@@ -127,12 +127,6 @@ def test_elimination_receiver_energy_split():
         )
 
 
-def test_phase_of():
-    assert optics.phase_of(1.0) == 0.0
-    assert optics.phase_of(1j) == pytest.approx(math.pi / 2)
-    assert optics.phase_of(-1.0) == pytest.approx(math.pi)
-
-
 def test_loss_of_7_7_db():
     t = optics.db_to_transmittance(7.7)
     assert t == pytest.approx(0.16982, abs=1e-5)

@@ -13,7 +13,6 @@ from qdssim.protocol import (
     authenticate,
     count_mismatches,
     distribute,
-    iter_records,
     read_transcript,
     run_honest_exchange,
     verify,
@@ -152,21 +151,6 @@ def test_run_honest_exchange_accepts_with_sane_thresholds():
     assert res.message_bit == 0
 
 
-def test_iter_records():
-    view = RecipientView(
-        np.array([[1, 0, 0, 0], [0, 0, 1, 1]], dtype=bool),
-        np.array([0, 1], dtype=bool),
-    )
-    records = list(iter_records(1, view))
-    assert len(records) == 2
-    assert records[0].message_bit == 1
-    assert records[0].index == 0
-    assert records[0].ruled_out == (True, False, False, False)
-    assert records[0].null_click is False
-    assert records[1].ruled_out == (False, False, True, True)
-    assert records[1].null_click is True
-
-
 def test_transcript_round_trip(tmp_path):
     params = make_params(length=150)
     dist = distribute(params, np.random.default_rng(17), message_bits=(1,))
@@ -211,6 +195,14 @@ def test_read_transcript_rejects_malformed(tmp_path):
         read_transcript(p)
     p.write_text("# key 012\n0 0 1 0 0 0 0\n")  # key length mismatch
     with pytest.raises(ValueError, match="key length"):
+        read_transcript(p)
+
+
+@pytest.mark.parametrize("header", ["# key", "# key ", "# key 4", "# key 0x", "# key 01 2"])
+def test_read_transcript_rejects_malformed_key_header(tmp_path, header):
+    p = tmp_path / "bad_key.txt"
+    p.write_text(header + "\n0 0 1 0 0 0 0\n")
+    with pytest.raises(ValueError, match="line 1"):
         read_transcript(p)
 
 

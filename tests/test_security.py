@@ -11,6 +11,7 @@ from qdssim.security import (
     analyze,
     bound_min_cost,
     choose_thresholds,
+    count_clicks,
     decompose,
     estimate_cost_matrix,
     failure_bounds,
@@ -93,6 +94,56 @@ def test_estimate_cost_matrix_errors():
         estimate_cost_matrix((np.array([0, 1, 2]), np.zeros((3, 4), bool)))
     with pytest.raises(ValueError, match="shape"):
         estimate_cost_matrix((np.array([0]), np.zeros((2, 4), bool)))
+
+
+def _mask_loop_counts(phases, elims):
+    """Per-phase mask pooling, the reference the counting step must equal."""
+    clicks = np.zeros((4, 4), dtype=np.int64)
+    pulses = np.zeros(4, dtype=np.int64)
+    for i in range(4):
+        sel = phases == i
+        pulses[i] += int(sel.sum())
+        clicks[i] += elims[sel].sum(axis=0)
+    return clicks, pulses
+
+
+@pytest.mark.parametrize("case", ["random", "missing_state", "no_clicks"])
+def test_count_clicks_equals_per_phase_mask_loop(case):
+    rng = np.random.default_rng(71)
+    n = 20_000
+    phases = rng.integers(0, 4, n).astype(np.int8)
+    elims = rng.random((n, 4)) < rng.uniform(0.0, 0.3, 4)
+    if case == "missing_state":
+        phases[phases == 2] = 1
+    if case == "no_clicks":
+        elims[:] = False
+    clicks, pulses = count_clicks(phases, elims)
+    ref_clicks, ref_pulses = _mask_loop_counts(phases, elims)
+    assert np.array_equal(clicks, ref_clicks)
+    assert np.array_equal(pulses, ref_pulses)
+    if case == "missing_state":
+        assert pulses[2] == 0
+        with pytest.raises(ValueError, match=r"no pulses recorded for state\(s\) \[2\]"):
+            estimate_cost_matrix((phases, elims))
+    else:
+        est = estimate_cost_matrix((phases, elims))
+        assert np.array_equal(est.entries, ref_clicks / ref_pulses[:, None])
+
+
+def test_count_clicks_checks_phase_range():
+    with pytest.raises(ValueError, match="0..3"):
+        count_clicks(np.array([0, 4]), np.zeros((2, 4), bool))
+    with pytest.raises(ValueError, match="0..3"):
+        count_clicks(np.array([-1, 0]), np.zeros((2, 4), bool))
+
+
+def test_one_coercion_for_matrices_and_arrays():
+    ref = reference_cost_matrix()
+    assert security.cost_entries(ref) is ref.entries
+    assert np.array_equal(security.cost_entries(ref.entries.tolist()), ref.entries)
+    for bad in (np.zeros((2, 2)), np.full((4, 4), np.inf), np.full((4, 4), -0.1)):
+        with pytest.raises(ValueError, match="cost matrix"):
+            security.cost_entries(bad)
 
 
 def test_cost_matrix_file_round_trip(tmp_path):
@@ -228,6 +279,19 @@ def test_required_length_frozen_values():
         required_length(0.0, 1e-4)
     with pytest.raises(ValueError):
         required_length(1e-6, 1.5)
+
+
+@pytest.mark.parametrize("gap", [1e-161, 1e-170, 5e-324])
+def test_required_length_too_small_a_gap_has_no_security(gap):
+    with pytest.raises(NoProvableSecurityError, match="gap"):
+        required_length(gap, 1e-4)
+
+
+def test_analyze_vanishing_gap_has_no_security():
+    tiny = np.full((4, 4), 1e-160)
+    np.fill_diagonal(tiny, 0.0)
+    with pytest.raises(NoProvableSecurityError, match="gap"):
+        analyze(tiny, 1.0, 1e-4)
 
 
 def test_required_length_inverts_the_bound():
