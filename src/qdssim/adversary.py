@@ -22,10 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import detection, discrimination, security
-from .protocol import Outcome, ProtocolParams, authenticate, verify
-
-N_PHASES = 4
-UNIFORM_PHASES = (0.25, 0.25, 0.25, 0.25)
+from .protocol import N_PHASES, UNIFORM_PHASES, Outcome, ProtocolParams, authenticate, verify
+from .protocol import ACCEPT, REJECT, decide
 
 
 # ------------------------------------------------------------------ repudiation
@@ -98,12 +96,8 @@ def repudiation_frequency(
     mc = rng.binomial(L, target, size=runs)
     nb = rng.binomial(L, null_p, size=runs)
     nc = rng.binomial(L, null_p, size=runs)
-    budget = params.null_abort_fraction * L
-    ok = (
-        (nb <= budget)
-        & (mb < params.auth_threshold * L)
-        & (nc <= budget)
-        & (mc >= params.verify_threshold * L)
+    ok = (decide(mb, nb, params, params.auth_threshold) == ACCEPT) & (
+        decide(mc, nc, params, params.verify_threshold) == REJECT
     )
     return float(ok.mean())
 
@@ -256,9 +250,7 @@ def forge_campaign(
         declared = rng.multinomial(sent[:, i], strategy.outcome_matrix[i])
         mismatches += rng.binomial(declared, C[i]).sum(axis=1)
     nulls = rng.binomial(L, params.null_click_prob(), size=runs)
-    ok = (mismatches < params.verify_threshold * L) & (
-        nulls <= params.null_abort_fraction * L
-    )
+    ok = decide(mismatches, nulls, params, params.verify_threshold) == ACCEPT
     return float(ok.mean()), float(mismatches.mean() / L)
 
 

@@ -55,6 +55,13 @@ def _emit_kv(pairs, out_path):
     sys.stdout.write(text)
 
 
+def _report(pairs, out_path):
+    # the CSV first, so that a failed write prints no report
+    if out_path:
+        _write_csv(out_path, [k for k, _ in pairs], [[v for _, v in pairs]])
+    _emit_kv(pairs, None)
+
+
 def _write_csv(path, header, rows):
     def render(f):
         w = csv.writer(f)
@@ -186,9 +193,7 @@ def cmd_bounds(cfg: ExperimentConfig, matrix_path, out_path) -> int:
         "failure_bound",
     )]
     pairs.append(("sequence_seconds", report.required_length / cfg.clock_hz))
-    _emit_kv(pairs, None)
-    if out_path:
-        _write_csv(out_path, [k for k, _ in pairs], [[v for _, v in pairs]])
+    _report(pairs, out_path)
     return 0
 
 
@@ -209,11 +214,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_path) -> int:
     last = None
     for run, ss in enumerate(streams):
         res = protocol.run_honest_exchange(params, np.random.default_rng(ss))
-        key = res.distribution.keys[res.message_bit]
-        for view in (res.distribution.bob[res.message_bit], res.distribution.charlie[res.message_bit]):
-            c, n = security.count_clicks(key.phases, view.eliminations)
-            clicks += c
-            pulses += n
+        dist = res.distribution
+        for view in (dist.bob[res.message_bit], dist.charlie[res.message_bit]):
+            clicks += view.clicks
+            pulses += dist.keys[res.message_bit].pulses
         bob_counts[res.bob_outcome.value] += 1
         charlie_counts[res.charlie_outcome.value] += 1
         sum_mismatch_b += res.bob_mismatches
@@ -329,9 +333,7 @@ def cmd_attack(cfg: ExperimentConfig, args) -> int:
             ("bound", budget.bound),
             ("vacuous", budget.vacuous),
         ]
-    _emit_kv(pairs, None)
-    if args.out:
-        _write_csv(args.out, [k for k, _ in pairs], [[v for _, v in pairs]])
+    _report(pairs, args.out)
     return 0
 
 

@@ -21,6 +21,9 @@ arbitrarily long gaps between the stages cost nothing.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +32,7 @@ from . import detection
 from .detection import DetectorModel
 
 N_PHASES = 4
+UNIFORM_PHASES = (0.25,) * N_PHASES
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,11 @@ class Outcome(enum.Enum):
     ACCEPTED = "accepted"
     REJECTED = "rejected"
     ABORTED = "aborted"  # null-port budget exceeded
+
+
+# Codes that ``decide`` returns, and the outcome each one stands for
+ACCEPT, REJECT, ABORT = (np.int8(c) for c in range(3))
+OUTCOMES = (Outcome.ACCEPTED, Outcome.REJECTED, Outcome.ABORTED)
 
 
 @dataclass(frozen=True)
@@ -166,6 +175,68 @@ class RecipientView:
         return int(self.null_clicks.sum())
 
 
+def _record_stream(seed: int, record: int) -> np.random.Generator:
+    # each record has its own child stream, so the order of access cannot matter
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(record,)))
+
+
+class _DrawnKey(PrivateKey):
+    """A key drawn by ``distribute``: pulse counts now, phases on first access."""
+
+    def __init__(self, message_bit: int, pulses: np.ndarray, seed: int):
+        object.__setattr__(self, "message_bit", message_bit)
+        object.__setattr__(self, "pulses", pulses)  # (4,) elements per phase
+        object.__setattr__(self, "seed", seed)
+
+    def __len__(self) -> int:
+        return int(self.pulses.sum())
+
+    def __repr__(self) -> str:
+        return f"PrivateKey(message_bit={self.message_bit}, pulses={self.pulses.tolist()})"
+
+    @functools.cached_property
+    def phases(self) -> np.ndarray:
+        """A uniformly random arrangement of the pulse counts."""
+        symbols = np.repeat(np.arange(N_PHASES, dtype=np.int8), self.pulses)
+        return _record_stream(self.seed, 0).permutation(symbols)
+
+
+class _DrawnView(RecipientView):
+    """A view drawn with its key: counts now, per-element records on first access."""
+
+    def __init__(self, key: _DrawnKey, clicks: np.ndarray, nulls: int, record: int):
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "clicks", clicks)  # (4, 4) sent i, eliminated j
+        object.__setattr__(self, "nulls", nulls)
+        object.__setattr__(self, "record", record)  # child stream of the eliminations
+
+    def __repr__(self) -> str:
+        return f"RecipientView(clicks={self.clicks.tolist()}, nulls={self.nulls})"
+
+    def null_count(self) -> int:
+        return self.nulls
+
+    @functools.cached_property
+    def eliminations(self) -> np.ndarray:
+        """Each (i, j) click count placed uniformly among the phase-i elements."""
+        rng = _record_stream(self.key.seed, self.record)
+        phases = self.key.phases
+        elims = np.zeros((len(phases), N_PHASES), dtype=bool)
+        for i in range(N_PHASES):
+            where = np.flatnonzero(phases == i)
+            for j in range(N_PHASES):
+                elims[where[rng.choice(len(where), self.clicks[i, j], replace=False)], j] = True
+        return elims
+
+    @functools.cached_property
+    def null_clicks(self) -> np.ndarray:
+        """The null count placed uniformly among the elements."""
+        L = len(self.key)
+        nulls = np.zeros(L, dtype=bool)
+        nulls[_record_stream(self.key.seed, self.record + 1).choice(L, self.nulls, replace=False)] = True
+        return nulls
+
+
 @dataclass(frozen=True)
 class DistributionResult:
     """Keys and recipient views produced by one distribution stage."""
@@ -184,11 +255,19 @@ def distribute(
 
     Per element the sender draws a uniform phase and launches identical
     copies into the multiport; each recipient's four elimination detectors
-    click independently with the analytic probabilities for that phase,
-    and each null monitor clicks at the dark rate (honest inputs cancel
-    exactly at the null port). Draw order per bit is: phases, Bob's
-    eliminations, Bob's nulls, Charlie's eliminations, Charlie's nulls,
-    so runs are reproducible for a given generator state.
+    click independently with the analytic probabilities C for that phase,
+    and each null monitor clicks at the dark rate d (honest inputs cancel
+    exactly at the null port).
+
+    Only counts are drawn, and exactly: pulses ~ Multinomial(L, 1/4 each);
+    per recipient clicks[i, j] ~ Binomial(pulses[i], C[i, j]), exact since
+    the detectors are independent given the phase, and nulls ~ Binomial(L,
+    d); then one integer that seeds the child streams of the records. Draw
+    order per bit: pulses, Bob's clicks and nulls, Charlie's clicks and
+    nulls, the seed. Keys carry ``pulses``, views ``clicks`` and
+    ``null_count()``. ``phases``, ``eliminations`` and ``null_clicks`` are
+    expanded on first access, each from its own child stream, so they
+    reproduce the counts whatever the order of access.
     """
     for bit in message_bits:
         if bit not in (0, 1):
@@ -202,44 +281,55 @@ def distribute(
     bob: dict[int, RecipientView] = {}
     charlie: dict[int, RecipientView] = {}
     for bit in message_bits:
-        phases = rng.integers(0, N_PHASES, L).astype(np.int8)
-        keys[bit] = PrivateKey(bit, phases)
-        per_element = probs[phases]
-        for store in (bob, charlie):
-            elims = rng.random((L, N_PHASES)) < per_element
-            nulls = rng.random(L) < null_p
-            store[bit] = RecipientView(elims, nulls)
+        pulses = rng.multinomial(L, UNIFORM_PHASES)
+        (bob_clicks, bob_nulls), (charlie_clicks, charlie_nulls) = [
+            (rng.binomial(pulses[:, None], probs), int(rng.binomial(L, null_p))) for _ in range(2)
+        ]
+        key = keys[bit] = _DrawnKey(bit, pulses, int(rng.integers(2**63)))
+        bob[bit] = _DrawnView(key, bob_clicks, bob_nulls, record=1)
+        charlie[bit] = _DrawnView(key, charlie_clicks, charlie_nulls, record=3)
     return DistributionResult(keys, bob, charlie)
 
 
 def count_mismatches(key: PrivateKey, view: RecipientView) -> int:
-    """Number of elements whose stored record eliminates the declared phase."""
+    """Number of elements whose stored record eliminates the declared phase.
+
+    For a key and view that ``distribute`` drew together this is the trace
+    of the view's click counts, and no record is expanded.
+    """
+    if isinstance(view, _DrawnView) and view.key is key:
+        return int(np.trace(view.clicks))
     elims = view.eliminations
-    if elims.shape != (len(key.phases), N_PHASES):
+    if elims.shape != (len(key), N_PHASES):
         raise ValueError(
-            f"records shape {elims.shape} does not match key length {len(key.phases)}"
+            f"records shape {elims.shape} does not match key length {len(key)}"
         )
-    return int(elims[np.arange(len(key.phases)), key.phases].sum())
+    return int(elims[np.arange(len(key)), key.phases].sum())
 
 
-def _decide(mismatches: int, null_count: int, params: ProtocolParams, threshold: float) -> Outcome:
-    if mismatches < 0 or null_count < 0:
+def decide(mismatches, null_counts, params: ProtocolParams, threshold: float):
+    """The accept/reject/abort rule, for one run or an array of runs.
+
+    Returns ABORT where the null count exceeds the budget r * L, else
+    ACCEPT where the mismatch count is below ``threshold * L``, else REJECT.
+    """
+    m = np.asarray(mismatches)
+    n = np.asarray(null_counts)
+    if m.min(initial=0) < 0 or n.min(initial=0) < 0:
         raise ValueError("counts must be >= 0")
-    if null_count > params.null_abort_fraction * params.length:
-        return Outcome.ABORTED
-    if mismatches < threshold * params.length:
-        return Outcome.ACCEPTED
-    return Outcome.REJECTED
+    codes = np.where(m < threshold * params.length, ACCEPT, REJECT)
+    codes[n > params.null_abort_fraction * params.length] = ABORT
+    return codes
 
 
 def authenticate(mismatches: int, null_count: int, params: ProtocolParams) -> Outcome:
     """Direct-reception decision: abort on null budget, accept below s_a * L."""
-    return _decide(mismatches, null_count, params, params.auth_threshold)
+    return OUTCOMES[decide(mismatches, null_count, params, params.auth_threshold)]
 
 
 def verify(mismatches: int, null_count: int, params: ProtocolParams) -> Outcome:
     """Forwarded-message decision: abort on null budget, accept below s_v * L."""
-    return _decide(mismatches, null_count, params, params.verify_threshold)
+    return OUTCOMES[decide(mismatches, null_count, params, params.verify_threshold)]
 
 
 @dataclass(frozen=True)
@@ -303,7 +393,8 @@ def write_transcript(path, message_bit: int, view: RecipientView, key: PrivateKe
                 raise ValueError(
                     f"key is for bit {key.message_bit}, transcript for bit {message_bit}"
                 )
-            f.write("# key " + "".join(str(int(p)) for p in key.phases) + "\n")
+            digits = (np.asarray(key.phases, dtype=np.uint8) + ord("0")).tobytes().decode()
+            f.write("# key " + digits + "\n")
         np.savetxt(f, arr, fmt="%d")
 
 
@@ -314,6 +405,13 @@ class Transcript:
     message_bit: int
     view: RecipientView
     key_phases: np.ndarray | None = None
+
+
+def _file_line(path, row: int) -> int:
+    """File line of data row ``row``; blank and comment lines are not rows."""
+    with open(path) as f:
+        rows = (n for n, line in enumerate(f, start=1) if line.split("#", 1)[0].strip())
+        return next(itertools.islice(rows, row, None))
 
 
 def read_transcript(path) -> Transcript:
@@ -328,9 +426,20 @@ def read_transcript(path) -> Transcript:
             key_phases = digits.astype(np.int8)
         else:
             f.seek(0)
-        data = np.loadtxt(f, dtype=np.int64, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows is reported below
+            data = np.loadtxt(f, dtype=np.int64, ndmin=2)
+    if len(data) == 0:
+        raise ValueError("transcript has no elements")
     if data.shape[1] != 7:
         raise ValueError(f"expected 7 columns per line, got {data.shape[1]}")
+    bad = np.flatnonzero(data[:, 1] != np.arange(len(data)))
+    if len(bad):
+        row = int(bad[0])
+        raise ValueError(
+            f"line {_file_line(path, row)}: element index {data[row, 1]}, expected {row} "
+            "(indices must run 0..N-1 in order)"
+        )
     bits = np.unique(data[:, 0])
     if len(bits) != 1 or bits[0] not in (0, 1):
         raise ValueError(f"transcript must carry a single message bit, got {bits}")

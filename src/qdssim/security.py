@@ -167,6 +167,11 @@ def read_cost_matrix(path) -> CostMatrix:
                         raise ValueError(
                             f"line {lineno}: pulse header needs 4 counts, got {len(fields) - 1}"
                         )
+                    for col, tok in enumerate(fields[1:], start=1):
+                        if not tok.isdecimal() or int(tok) < 1:
+                            raise ValueError(
+                                f"line {lineno}, column {col}: pulse count must be a positive integer, got {tok!r}"
+                            )
                     counts = [int(x) for x in fields[1:]]
                 continue
             tokens = line.split()

@@ -196,6 +196,28 @@ def test_simulate_too_short_to_see_every_state(tmp_path, capsys):
     assert "no pulses recorded for state(s)" in err
 
 
+def test_simulate_at_the_required_length(tmp_path, capsys):
+    """The length the bundled matrix asks for (bounds' required_length)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"length": 51042710665729}))
+    code, out, err = run_cli(capsys, "simulate", "--preset", "paper-2014", "--config", str(cfg), "--trials", "2")
+    assert code == 0, err
+    pairs = parse_kv(out)
+    assert pairs["length"] == "51042710665729"
+    assert float(pairs["bob_accepted_freq"]) == 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds", REF], ["attack", "repudiate", "--trials", "10"], ["attack", "forge_active_bound"]],
+)
+def test_unwritable_out_prints_no_report(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--out", "/nonexistent/x.csv")
+    assert code == 1
+    assert out == ""
+    assert "error:" in err
+
+
 def test_simulate_deterministic(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"length": 2000, "trials": 3}))

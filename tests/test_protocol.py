@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from qdssim import protocol
+from qdssim import protocol, security
 from qdssim.detection import DetectorModel
 from qdssim.protocol import (
     ChannelModel,
@@ -12,6 +13,7 @@ from qdssim.protocol import (
     RecipientView,
     authenticate,
     count_mismatches,
+    decide,
     distribute,
     read_transcript,
     run_honest_exchange,
@@ -113,6 +115,103 @@ def test_distribute_click_frequencies_match_model():
             assert abs(freq[j] - m[i, j]) < 4 * sigma + 1e-12
 
 
+def _dense_counts(params, rng):
+    """Per-element reference sampler: every element's phase, detectors and null monitor."""
+    L = params.length
+    phases = rng.integers(0, 4, L)
+    per_element = params.click_matrix()[phases]
+    counts = []
+    for _ in range(2):  # Bob, Charlie
+        elims = rng.random((L, 4)) < per_element
+        clicks, pulses = security.count_clicks(phases, elims)
+        nulls = int((rng.random(L) < params.null_click_prob()).sum())
+        counts += [clicks.ravel(), [nulls, np.trace(clicks)]]
+    return np.concatenate([pulses, *counts])
+
+
+def _kernel_counts(params, rng):
+    dist = distribute(params, rng, message_bits=(0,))
+    key = dist.keys[0]
+    counts = [key.pulses]
+    for view in (dist.bob[0], dist.charlie[0]):
+        counts += [view.clicks.ravel(), [view.null_count(), count_mismatches(key, view)]]
+    return np.concatenate(counts)
+
+
+def test_count_kernel_matches_per_element_sampler_in_law():
+    """Pulses, per-(i, j) clicks, nulls and mismatches of both recipients
+    agree with the per-element process in mean and in every covariance
+    between them (5 sigma)."""
+    params = make_params(
+        length=800, detector=DetectorModel(efficiency=0.4, dark_click_prob=0.01, visibility=0.9)
+    )
+    runs = 3000
+    dense = np.array([_dense_counts(params, rng) for rng in map(np.random.default_rng, range(runs))])
+    kernel = np.array([_kernel_counts(params, rng) for rng in map(np.random.default_rng, range(runs, 2 * runs))])
+    assert (dense[:, :4].sum(axis=1) == params.length).all()
+    assert (kernel[:, :4].sum(axis=1) == params.length).all()
+
+    def moments(x):
+        """Means and pairwise covariances, each with its squared standard error."""
+        x = x.astype(float)
+        c = x - x.mean(axis=0)
+        products = (c[:, :, None] * c[:, None, :]).reshape(runs, -1)
+        stats = np.concatenate([x, products], axis=1)
+        return stats.mean(axis=0), stats.var(axis=0, ddof=1) / runs
+
+    stat_d, se2_d = moments(dense)
+    stat_k, se2_k = moments(kernel)
+    assert (se2_d + se2_k > 0).all()
+    z = np.abs(stat_d - stat_k) / np.sqrt(se2_d + se2_k)
+    assert z.max() < 5, (z.argmax(), z.max())
+
+
+def test_drawn_records_reproduce_the_counts():
+    params = make_params(length=5000)
+    dist = distribute(params, np.random.default_rng(41))
+    pairs = [(dist.keys[bit], view) for bit in (0, 1) for view in (dist.bob[bit], dist.charlie[bit])]
+    counted = [count_mismatches(key, view) for key, view in pairs]
+    assert all(len(key) == params.length for key, _ in pairs)
+    # counting a pair drawn together expands no record
+    assert not any({"phases", "eliminations", "null_clicks"} & (vars(key).keys() | vars(view).keys())
+                   for key, view in pairs)
+    for (key, view), mismatches in zip(pairs, counted):
+        clicks, pulses = security.count_clicks(key.phases, view.eliminations)
+        assert np.array_equal(clicks, view.clicks)
+        assert np.array_equal(pulses, key.pulses)
+        assert int(view.null_clicks.sum()) == view.null_count()
+        crafted = RecipientView(view.eliminations.copy(), view.null_clicks.copy())
+        assert count_mismatches(protocol.PrivateKey(key.message_bit, key.phases.copy()), crafted) == mismatches
+        assert mismatches == int(np.trace(view.clicks))
+
+
+def test_drawn_records_do_not_depend_on_access_order():
+    params = make_params(length=3000)
+    first = distribute(params, np.random.default_rng(42))
+    second = distribute(params, np.random.default_rng(42))
+    records = []
+    for dist, order in ((first, 1), (second, -1)):
+        # the views' records first and the keys last, then the reverse
+        sources = [(dist.bob[b], "eliminations") for b in (0, 1)] + [(dist.charlie[b], "null_clicks") for b in (0, 1)]
+        sources += [(dist.charlie[b], "eliminations") for b in (0, 1)] + [(dist.bob[b], "null_clicks") for b in (0, 1)]
+        sources += [(dist.keys[b], "phases") for b in (0, 1)]
+        records.append({i: getattr(obj, attr) for i, (obj, attr) in list(enumerate(sources))[::order]})
+    for i, rec in records[0].items():
+        assert np.array_equal(rec, records[1][i])
+    third = distribute(params, np.random.default_rng(43))
+    assert not np.array_equal(third.keys[0].phases, first.keys[0].phases)
+
+
+def test_distribute_reaches_the_required_length():
+    """Counts at the length the bundled matrix asks for, without any record."""
+    params = make_params(length=51_042_710_665_729)
+    res = run_honest_exchange(params, np.random.default_rng(44))
+    assert len(res.distribution.keys[0]) == params.length
+    p_h = params.honest_mismatch_prob()
+    sigma = math.sqrt(params.length * p_h)
+    assert abs(res.bob_mismatches - params.length * p_h) < 5 * sigma
+
+
 def test_count_mismatches_crafted():
     phases = np.array([0, 1, 2, 3, 0], dtype=np.int8)
     elims = np.zeros((5, 4), dtype=bool)
@@ -140,6 +239,18 @@ def test_decision_boundaries_are_strict():
     assert verify(50, 6, params) is Outcome.ABORTED  # abort wins over reject
     with pytest.raises(ValueError):
         authenticate(-1, 0, params)
+
+
+def test_decide_on_arrays_matches_the_scalar_decisions():
+    params = make_params(length=100, auth_threshold=0.1, verify_threshold=0.2)
+    m, n = np.meshgrid(np.arange(0, 30), np.arange(0, 9))
+    for threshold, scalar in ((0.1, authenticate), (0.2, verify)):
+        codes = decide(m, n, params, threshold)
+        assert codes.shape == m.shape
+        for mi, ni, code in zip(m.ravel(), n.ravel(), codes.ravel()):
+            assert protocol.OUTCOMES[code] is scalar(int(mi), int(ni), params)
+    with pytest.raises(ValueError, match=">= 0"):
+        decide(np.array([3, -1]), np.array([0, 0]), params, 0.1)
 
 
 def test_run_honest_exchange_accepts_with_sane_thresholds():
@@ -196,6 +307,32 @@ def test_read_transcript_rejects_malformed(tmp_path):
     p.write_text("# key 012\n0 0 1 0 0 0 0\n")  # key length mismatch
     with pytest.raises(ValueError, match="key length"):
         read_transcript(p)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("0 0 1 0 0 0 0\n0 5 0 0 0 0 0\n0 5 0 0 0 0 0\n", 2),  # index 5 where 1 belongs
+        ("0 0 1 0 0 0 0\n0 1 0 0 0 0 0\n0 1 0 0 0 0 0\n", 3),  # duplicate index
+        ("0 1 1 0 0 0 0\n0 0 0 0 0 0 0\n", 1),  # out of order
+        ("# key 012\n0 0 1 0 0 0 0\n\n# note\n0 2 0 0 0 0 0\n0 1 0 0 0 0 0\n", 5),
+    ],
+)
+def test_read_transcript_checks_the_index_column(tmp_path, text, line):
+    p = tmp_path / "bad_index.txt"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=f"^line {line}: element index"):
+        read_transcript(p)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# key 0123\n", "# a comment\n"])
+def test_read_transcript_without_elements(tmp_path, text):
+    p = tmp_path / "empty.txt"
+    p.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="transcript has no elements"):
+            read_transcript(p)
 
 
 @pytest.mark.parametrize("header", ["# key", "# key ", "# key 4", "# key 0x", "# key 01 2"])

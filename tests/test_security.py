@@ -172,6 +172,22 @@ def test_read_cost_matrix_errors_carry_position(tmp_path):
         read_cost_matrix(p)
 
 
+@pytest.mark.parametrize(
+    "header, where",
+    [
+        ("# pulses 1 2 x 4", "line 1, column 3"),
+        ("# pulses 1 -2 3 4", "line 1, column 2"),
+        ("# pulses 1 2 3 0", "line 1, column 4"),
+        ("# pulses 1.5 2 3 4", "line 1, column 1"),
+    ],
+)
+def test_read_cost_matrix_pulse_counts_carry_position(tmp_path, header, where):
+    p = tmp_path / "bad_pulses.txt"
+    p.write_text(header + "\n" + "1e-4 1e-4 1e-4 1e-4\n" * 4)
+    with pytest.raises(ValueError, match=f"^{where}: pulse count"):
+        read_cost_matrix(p)
+
+
 def test_reference_matrix_entries():
     m = reference_cost_matrix()
     assert m.entries[0, 0] == pytest.approx(9.80e-5)
