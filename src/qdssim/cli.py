@@ -95,6 +95,25 @@ def _runs(cfg: ExperimentConfig) -> int:
     return cfg.trials
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _amplitude_scale(args, alpha_sq: float, default: float) -> float:
+    scale = default if args.amplitude_scale is None else args.amplitude_scale
+    if not math.isfinite(alpha_sq * scale * scale):
+        raise UsageError(
+            f"argument --amplitude-scale: the forger's mean photon number alpha_sq * {scale}**2 is not finite"
+        )
+    return scale
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON configuration file")
     p.add_argument("--preset", help="named parameter set (ideal, paper-2014)")
@@ -119,9 +138,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("attack", help="adversary Monte Carlo / bound evaluation")
     p.add_argument("kind", choices=ATTACK_KINDS)
-    p.add_argument("--target", type=float, help="repudiation per-element mismatch target")
+    p.add_argument("--target", type=_finite_float, help="repudiation per-element mismatch target")
     p.add_argument(
-        "--amplitude-scale", type=float, help="forger amplitude multiplier (default 1 passive, sqrt(3/2) active)"
+        "--amplitude-scale", type=_finite_float, help="forger amplitude multiplier (default 1 passive, sqrt(3/2) active)"
     )
     p.add_argument("--cost-matrix", help="measured matrix file overriding the analytic channel")
     _add_common(p)
@@ -300,7 +319,7 @@ def cmd_attack(cfg: ExperimentConfig, args) -> int:
             ("bound", adversary.repudiation_bound(params)),
         ]
     elif args.kind == "forge_passive":
-        scale = args.amplitude_scale if args.amplitude_scale is not None else 1.0
+        scale = _amplitude_scale(args, cfg.alpha_sq, 1.0)
         strategy = adversary.srm_forging_strategy(cfg.alpha_sq, scale)
         freq, mean_fraction = adversary.forge_campaign(strategy, params, runs, rng, governing)
         dec = security.decompose(governing)
@@ -317,7 +336,7 @@ def cmd_attack(cfg: ExperimentConfig, args) -> int:
             ("mean_mismatch_fraction", mean_fraction),
         ]
     else:  # forge_active_bound
-        scale = args.amplitude_scale if args.amplitude_scale is not None else math.sqrt(1.5)
+        scale = _amplitude_scale(args, cfg.alpha_sq, math.sqrt(1.5))
         budget = adversary.active_forge_budget(params, governing, scale)
         pairs = [
             ("kind", args.kind),

@@ -60,7 +60,7 @@ class ExperimentConfig:
             ("detection_visibility", 0.0 <= self.detection_visibility <= 1.0),
             ("multiport_visibility", 0.0 <= self.multiport_visibility <= 1.0),
             ("clock_hz", self.clock_hz > 0),
-            ("length", self.length >= 1),
+            ("length", 1 <= self.length < 2**63),  # numpy draws counts as int64
             ("epsilon", self.epsilon >= 0),
             ("security_level", 0.0 < self.security_level < 1.0),
             ("sweep_grid", len(self.sweep_grid) > 0 and all(x >= 0 for x in self.sweep_grid)),

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,8 +139,15 @@ class ProtocolParams:
         )
 
     def click_matrix(self) -> np.ndarray:
-        """Analytic (sent phase x eliminated phase) click probabilities."""
-        return detection.phase_click_matrix(self.receiver_intensity(), self.detector)
+        """Analytic (sent phase x eliminated phase) click probabilities, read-only."""
+        return self._click_matrix
+
+    @functools.cached_property
+    def _click_matrix(self) -> np.ndarray:
+        # once per parameter set; a frozen dataclass without slots keeps a __dict__
+        matrix = detection.phase_click_matrix(self.receiver_intensity(), self.detector)
+        matrix.flags.writeable = False
+        return matrix
 
     def honest_mismatch_prob(self) -> float:
         """Probability that an element eliminates the phase actually sent."""
@@ -371,6 +376,45 @@ def run_honest_exchange(
 
 
 # ------------------------------------------------------------------ transcripts
+#
+# One codec writes and checks transcript lines: each element is the line
+# "bit index e0 e1 e2 e3 null\n" in decimal digits with single spaces,
+# built as uint8 blocks of rows whose indices have the same number of digits.
+
+_LF, _SPACE, _HASH, _ZERO = 10, 32, 35, 48
+_BLOCK_ROWS = 1 << 16
+_FLAG_OFFSETS = (9, 7, 5, 3, 1)  # e0 e1 e2 e3 null, in bytes before the line feed
+_FORM = "'bit index e0 e1 e2 e3 null' in decimal digits with single spaces and a LF line end"
+
+
+def _blocks(bit: int, eliminations, null_clicks):
+    """The transcript lines of the given flags, as (rows, 13 + width) uint8 blocks.
+
+    Every write is to one column at a time: numpy is several times slower
+    on strided multi-column slices of a block this narrow.
+    """
+    L = len(null_clicks)
+    zero = np.uint8(_ZERO)  # keeps the flag additions in uint8
+    lo = 0
+    while lo < L:
+        width = len(str(lo))
+        hi = min(L, 10**width, lo + _BLOCK_ROWS)
+        block = np.empty((hi - lo, 13 + width), dtype=np.uint8)
+        block[:, 0] = _ZERO + bit
+        for col in (1, 2 + width, 4 + width, 6 + width, 8 + width, 10 + width):
+            block[:, col] = _SPACE
+        index = np.arange(lo, hi)
+        for col in range(1 + width, 1, -1):
+            tens = index // 10
+            np.add(index - 10 * tens, zero, out=block[:, col], casting="unsafe")
+            index = tens
+        for j in range(N_PHASES):
+            np.add(eliminations[lo:hi, j], zero, out=block[:, 3 + width + 2 * j], casting="unsafe")
+        np.add(null_clicks[lo:hi], zero, out=block[:, 11 + width], casting="unsafe")
+        block[:, 12 + width] = _LF
+        yield block
+        lo = hi
+
 
 def write_transcript(path, message_bit: int, view: RecipientView, key: PrivateKey | None = None):
     """Write one recipient view as lines of: bit, index, four flags, null flag.
@@ -378,24 +422,19 @@ def write_transcript(path, message_bit: int, view: RecipientView, key: PrivateKe
     When ``key`` is given its phase digits go into a `# key` header line so
     that downstream cost-matrix estimation can recover the sent phases.
     """
-    L = len(view.null_clicks)
-    arr = np.column_stack(
-        [
-            np.full(L, message_bit, dtype=np.int64),
-            np.arange(L, dtype=np.int64),
-            view.eliminations.astype(np.int64),
-            view.null_clicks.astype(np.int64),
-        ]
-    )
-    with open(path, "w") as f:
+    if message_bit not in (0, 1):
+        raise ValueError(f"message bit must be 0 or 1, got {message_bit!r}")
+    if key is not None and key.message_bit != message_bit:
+        raise ValueError(f"key is for bit {key.message_bit}, transcript for bit {message_bit}")
+    nulls = np.asarray(view.null_clicks)
+    elims = np.asarray(view.eliminations)
+    if np.shape(elims) != (len(nulls), N_PHASES):
+        raise ValueError(f"records shape {np.shape(elims)} does not match {len(nulls)} null flags")
+    with open(path, "wb") as f:
         if key is not None:
-            if key.message_bit != message_bit:
-                raise ValueError(
-                    f"key is for bit {key.message_bit}, transcript for bit {message_bit}"
-                )
-            digits = (np.asarray(key.phases, dtype=np.uint8) + ord("0")).tobytes().decode()
-            f.write("# key " + digits + "\n")
-        np.savetxt(f, arr, fmt="%d")
+            f.write(b"# key " + (np.asarray(key.phases, dtype=np.uint8) + _ZERO).tobytes() + b"\n")
+        for block in _blocks(message_bit, elims, nulls):
+            f.write(block)
 
 
 @dataclass(frozen=True)
@@ -407,48 +446,83 @@ class Transcript:
     key_phases: np.ndarray | None = None
 
 
-def _file_line(path, row: int) -> int:
-    """File line of data row ``row``; blank and comment lines are not rows."""
-    with open(path) as f:
-        rows = (n for n, line in enumerate(f, start=1) if line.split("#", 1)[0].strip())
-        return next(itertools.islice(rows, row, None))
+def _first_difference(body: np.ndarray, blocks) -> int | None:
+    """Offset of the first byte where ``body`` and the blocks differ, or None."""
+    offset = 0
+    for block in blocks:
+        want = block.reshape(-1)
+        got = body[offset:offset + want.size]
+        if not np.array_equal(got, want):
+            diff = np.flatnonzero(got != want[:len(got)])
+            return offset + (int(diff[0]) if len(diff) else len(got))
+        offset += want.size
+    return None if offset == len(body) else offset
+
+
+def _diagnose(line: bytes, n: int, row: int, bit: int):
+    """Raise the error of file line ``n``, element ``row``, which the codec rejected."""
+    tokens = line.split()
+    if len(tokens) != 7:
+        raise ValueError(f"line {n}: expected 7 columns per line, got {len(tokens)}")
+    try:
+        b, index, *flags = (int(t) for t in tokens)
+    except ValueError:
+        raise ValueError(f"line {n}: not in the form {_FORM}") from None
+    if index != row:
+        raise ValueError(
+            f"line {n}: element index {index}, expected {row} (indices must run 0..N-1 in order)"
+        )
+    if b not in (0, 1) or (row and b != bit):
+        after = f" after {bit}" if row else ""
+        raise ValueError(f"line {n}: transcript must carry a single message bit, 0 or 1, got {b}{after}")
+    if any(f not in (0, 1) for f in flags):
+        raise ValueError(f"line {n}: elimination and null flags must be 0 or 1")
+    raise ValueError(f"line {n}: not in the form {_FORM}")
 
 
 def read_transcript(path) -> Transcript:
-    """Parse a transcript file written by ``write_transcript``."""
+    """Parse a transcript file in the form ``write_transcript`` writes.
+
+    Empty lines and lines starting with '#' are skipped; a first line
+    '# key <digits>' holds the sent phases. The flags are read at fixed
+    offsets from each line's end, and the file is accepted only if the
+    codec re-encodes them to exactly its lines; otherwise the first line
+    that differs is parsed to name its defect.
+    """
+    with open(path, "rb") as f:
+        raw = f.read()
+    if raw and not raw.endswith(b"\n"):
+        raw += b"\n"  # a last line without its line feed
+    a = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(a == _LF)
+    starts = np.empty_like(ends)
+    starts[:1] = 0
+    starts[1:] = ends[:-1] + 1
     key_phases = None
-    with open(path) as f:
-        head = f.readline().split()
-        if head[:2] == ["#", "key"]:
-            digits = np.frombuffer("".join(head[2:]).encode(), dtype=np.uint8) - ord("0")
-            if len(head) != 3 or (digits > 3).any():
-                raise ValueError("line 1: key header must hold one phase digit 0..3 per element")
-            key_phases = digits.astype(np.int8)
-        else:
-            f.seek(0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # no rows is reported below
-            data = np.loadtxt(f, dtype=np.int64, ndmin=2)
-    if len(data) == 0:
+    if len(ends) and raw[:ends[0]].split(None, 2)[:2] == [b"#", b"key"]:
+        digits = a[6:ends[0]] - _ZERO
+        if not raw.startswith(b"# key ") or len(digits) == 0 or digits.max() > 3:
+            raise ValueError("line 1: key header must hold one phase digit 0..3 per element")
+        key_phases = digits.view(np.int8)
+    data = (ends > starts) & (a[starts] != _HASH)
+    rows = np.flatnonzero(data)
+    N = len(rows)
+    if N == 0:
         raise ValueError("transcript has no elements")
-    if data.shape[1] != 7:
-        raise ValueError(f"expected 7 columns per line, got {data.shape[1]}")
-    bad = np.flatnonzero(data[:, 1] != np.arange(len(data)))
-    if len(bad):
-        row = int(bad[0])
-        raise ValueError(
-            f"line {_file_line(path, row)}: element index {data[row, 1]}, expected {row} "
-            "(indices must run 0..N-1 in order)"
-        )
-    bits = np.unique(data[:, 0])
-    if len(bits) != 1 or bits[0] not in (0, 1):
-        raise ValueError(f"transcript must carry a single message bit, got {bits}")
-    flags = data[:, 2:7]
-    if ((flags != 0) & (flags != 1)).any():
-        raise ValueError("elimination and null flags must be 0 or 1")
-    view = RecipientView(data[:, 2:6].astype(bool), data[:, 6].astype(bool))
-    if key_phases is not None and len(key_phases) != len(data):
-        raise ValueError(
-            f"key length {len(key_phases)} does not match {len(data)} elements"
-        )
-    return Transcript(int(bits[0]), view, key_phases)
+    s, e = starts[rows], ends[rows]
+    if rows[0] + N == len(ends):  # the data lines run unbroken to the end
+        body = a[s[0]:]
+    else:
+        body = a[np.repeat(data, ends - starts + 1)]
+    bit = int(a[s[0]]) - _ZERO
+    elims = np.empty((N, N_PHASES), dtype=bool)
+    for j in range(N_PHASES):
+        elims[:, j] = a.take(e - _FLAG_OFFSETS[j], mode="clip") == _ZERO + 1
+    nulls = a.take(e - _FLAG_OFFSETS[-1], mode="clip") == _ZERO + 1
+    pos = _first_difference(body, _blocks(bit, elims, nulls)) if bit in (0, 1) else 0
+    if pos is not None:
+        row = int(np.searchsorted(np.cumsum(e - s + 1), pos, side="right"))
+        _diagnose(raw[s[row]:e[row]], int(rows[row]) + 1, row, bit)
+    if key_phases is not None and len(key_phases) != N:
+        raise ValueError(f"key length {len(key_phases)} does not match {N} elements")
+    return Transcript(bit, RecipientView(elims, nulls), key_phases)

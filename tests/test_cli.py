@@ -387,3 +387,33 @@ def test_repudiate_rejects_unreachable_target(capsys):
     )
     assert code == 1
     assert "not achievable" in err
+
+
+@pytest.mark.parametrize("kind", ["forge_passive", "forge_active_bound"])
+def test_attack_rejects_an_amplitude_scale_whose_photon_number_overflows(capsys, kind):
+    code, out, err = run_cli(capsys, "attack", kind, "--amplitude-scale", "1e200", "--trials", "1")
+    assert code == 1
+    assert out == ""
+    assert "--amplitude-scale" in err
+
+
+@pytest.mark.parametrize(
+    "kind, flag",
+    [("forge_passive", "--amplitude-scale"), ("forge_active_bound", "--amplitude-scale"), ("repudiate", "--target")],
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_attack_rejects_non_finite_flag_values(capsys, kind, flag, value):
+    code, out, err = run_cli(capsys, "attack", kind, f"{flag}={value}", "--trials", "1")
+    assert code == 1
+    assert out == ""
+    assert f"argument {flag}: must be a finite number" in err
+
+
+@pytest.mark.parametrize("length", ["1e300", "9223372036854775808"])
+def test_oversized_length_is_a_config_error(tmp_path, capsys, length):
+    cfg = tmp_path / "long.json"
+    cfg.write_text('{"length": %s}' % length)
+    code, out, err = run_cli(capsys, "simulate", "--trials", "1", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert "'length'" in err

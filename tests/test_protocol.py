@@ -3,8 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from qdssim import protocol, security
+from qdssim import detection, protocol, security
 from qdssim.detection import DetectorModel
 from qdssim.protocol import (
     ChannelModel,
@@ -341,6 +344,118 @@ def test_read_transcript_rejects_malformed_key_header(tmp_path, header):
     p.write_text(header + "\n0 0 1 0 0 0 0\n")
     with pytest.raises(ValueError, match="line 1"):
         read_transcript(p)
+
+
+def _savetxt_transcript(path, bit, view, key=None):
+    """Reference writer: ``np.savetxt`` over the (L, 7) column stack."""
+    L = len(view.null_clicks)
+    stack = np.column_stack(
+        [
+            np.full(L, bit, dtype=np.int64),
+            np.arange(L, dtype=np.int64),
+            view.eliminations.astype(np.int64),
+            view.null_clicks.astype(np.int64),
+        ]
+    )
+    with open(path, "w") as f:
+        if key is not None:
+            f.write("# key " + "".join(str(int(p)) for p in key.phases) + "\n")
+        np.savetxt(f, stack, fmt="%d")
+
+
+def _random_view(L, seed):
+    flags = np.random.default_rng(seed).random((L, 5)) < 0.5
+    return RecipientView(flags[:, :4].copy(), flags[:, 4].copy())
+
+
+# lengths on both sides of every index-width change up to 10^5, and across
+# the 2^16-row block boundary at 10^4 + 2^16 = 75536
+@pytest.mark.parametrize("L", [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 10001, 75536, 75537, 100001])
+def test_writer_bytes_match_savetxt(tmp_path, L):
+    view = _random_view(L, L)
+    key = protocol.PrivateKey(L % 2, np.random.default_rng(L).integers(0, 4, L).astype(np.int8))
+    for bit, k in ((L % 2, key), (1 - L % 2, None)):
+        write_transcript(tmp_path / "codec.txt", bit, view, k)
+        _savetxt_transcript(tmp_path / "savetxt.txt", bit, view, k)
+        assert (tmp_path / "codec.txt").read_bytes() == (tmp_path / "savetxt.txt").read_bytes()
+        back = read_transcript(tmp_path / "savetxt.txt")
+        assert back.message_bit == bit
+        assert np.array_equal(back.view.eliminations, view.eliminations)
+        assert np.array_equal(back.view.null_clicks, view.null_clicks)
+        assert (back.key_phases is None) if k is None else np.array_equal(back.key_phases, key.phases)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    flags=st.integers(1, 300).flatmap(lambda L: hnp.arrays(np.bool_, (L, 5))),
+    bit=st.integers(0, 1),
+    with_key=st.booleans(),
+)
+def test_transcript_round_trip_property(tmp_path_factory, flags, bit, with_key):
+    path = tmp_path_factory.mktemp("codec") / "t.txt"
+    view = RecipientView(flags[:, :4], flags[:, 4])
+    phases = (np.arange(len(flags)) % 4).astype(np.int8)
+    write_transcript(path, bit, view, protocol.PrivateKey(bit, phases) if with_key else None)
+    back = read_transcript(path)
+    assert back.message_bit == bit
+    assert np.array_equal(back.view.eliminations, view.eliminations)
+    assert np.array_equal(back.view.null_clicks, view.null_clicks)
+    assert np.array_equal(back.key_phases, phases) if with_key else back.key_phases is None
+
+
+def test_read_transcript_skips_blank_and_comment_lines(tmp_path):
+    p = tmp_path / "annotated.txt"
+    p.write_bytes(b"# key 01\n\n# a note\n0 0 1 0 0 0 0\n\n0 1 0 0 0 1 1")  # no final line feed
+    back = read_transcript(p)
+    assert back.key_phases.tolist() == [0, 1]
+    assert back.view.eliminations.tolist() == [[True, False, False, False], [False, False, False, True]]
+    assert back.view.null_clicks.tolist() == [False, True]
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "0 1  0 0 0 0 1",  # double space
+        "0 1\t0 0 0 0 1",  # tab
+        "0 1 0 0 0 0 1\r",  # CRLF
+        "0 1 0 0 0 0 1 # note",  # trailing comment
+        "0 1 0 x 0 0 1",  # non-digit
+        "0 01 0 0 0 0 1",  # leading zero
+    ],
+)
+def test_read_transcript_names_the_line_not_in_the_writer_form(tmp_path, line):
+    p = tmp_path / "form.txt"
+    p.write_bytes(f"# key 012\n0 0 1 0 0 0 0\n{line}\n0 2 0 1 0 0 0\n".encode())
+    with pytest.raises(ValueError, match="^line 3: "):
+        read_transcript(p)
+
+
+@pytest.mark.parametrize("bit", [2, -1, "1"])
+def test_write_transcript_rejects_a_bit_other_than_0_or_1(tmp_path, bit):
+    with pytest.raises(ValueError, match="message bit"):
+        write_transcript(tmp_path / "t.txt", bit, _random_view(5, 0))
+    assert not (tmp_path / "t.txt").exists()
+
+
+def test_click_matrix_is_computed_once_per_params(monkeypatch):
+    real = detection.phase_click_matrix
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(detection, "phase_click_matrix", counting)
+    params = make_params()
+    cached = [run_honest_exchange(params, np.random.default_rng(s)) for s in range(100)]
+    assert len(calls) == 1
+    fresh = [run_honest_exchange(make_params(), np.random.default_rng(s)) for s in range(100)]
+    assert [(r.bob_mismatches, r.charlie_mismatches) for r in cached] == [
+        (r.bob_mismatches, r.charlie_mismatches) for r in fresh
+    ]
+    assert np.array_equal(params.click_matrix(), real(params.receiver_intensity(), params.detector))
+    with pytest.raises(ValueError):
+        params.click_matrix()[0, 0] = 0.5
 
 
 def test_distribute_ideal_optics_never_eliminates_sent_phase():
