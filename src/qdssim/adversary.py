@@ -10,8 +10,9 @@ inferred, and pays the elimination cost of every wrong guess; actively,
 he may also tamper with the other recipient's arm, at the price of
 lighting up null monitors.
 
-Campaign helpers draw per-run counts directly as binomials/multinomials,
-which is the exact distribution of the summed per-element process.
+Campaign helpers draw each run's decision counts directly from their
+exact law, the binomial of the summed per-element process, and draw
+nothing the decision does not read.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import detection, discrimination, security
-from .protocol import N_PHASES, UNIFORM_PHASES, Outcome, ProtocolParams, authenticate, verify
-from .protocol import ACCEPT, REJECT, decide
+from .protocol import ACCEPT, N_PHASES, REJECT, ProtocolParams, decide
 
 
 # ------------------------------------------------------------------ repudiation
@@ -33,21 +33,6 @@ class RepudiationStrategy:
     """A symmetrized attack pinned at one per-element mismatch probability."""
 
     target_mismatch_prob: float
-
-
-@dataclass(frozen=True)
-class RepudiationResult:
-    bob_mismatches: int
-    charlie_mismatches: int
-    bob_outcome: Outcome
-    charlie_outcome: Outcome
-
-    @property
-    def succeeded(self) -> bool:
-        return (
-            self.bob_outcome is Outcome.ACCEPTED
-            and self.charlie_outcome is Outcome.REJECTED
-        )
 
 
 def _check_target(strategy: RepudiationStrategy, params: ProtocolParams) -> float:
@@ -61,45 +46,29 @@ def _check_target(strategy: RepudiationStrategy, params: ProtocolParams) -> floa
     return target
 
 
-def repudiate_run(
-    strategy: RepudiationStrategy, params: ProtocolParams, rng: np.random.Generator
-) -> RepudiationResult:
-    """One repudiation attempt: authenticate at Bob, verify at Charlie.
-
-    The sender launches identical tampered copies, so null monitors stay
-    at dark counts, and both recipients' mismatch counts are independent
-    binomials at the targeted probability.
-    """
-    target = _check_target(strategy, params)
-    L = params.length
-    null_p = params.null_click_prob()
-    mb = int(rng.binomial(L, target))
-    mc = int(rng.binomial(L, target))
-    nb = int(rng.binomial(L, null_p))
-    nc = int(rng.binomial(L, null_p))
-    return RepudiationResult(
-        mb, mc, authenticate(mb, nb, params), verify(mc, nc, params)
-    )
-
-
 def repudiation_frequency(
     strategy: RepudiationStrategy,
     params: ProtocolParams,
     runs: int,
     rng: np.random.Generator,
 ) -> float:
-    """Empirical success frequency of ``repudiate_run`` over many runs."""
+    """Empirical success frequency of repudiation: Bob accepts, Charlie rejects.
+
+    The sender launches identical tampered copies, so null monitors stay
+    at dark counts, and both recipients' mismatch counts are independent
+    binomials at the targeted probability. Being independent of Bob's,
+    Charlie's counts are drawn only for the runs Bob accepted.
+    """
     target = _check_target(strategy, params)
     L = params.length
     null_p = params.null_click_prob()
     mb = rng.binomial(L, target, size=runs)
-    mc = rng.binomial(L, target, size=runs)
     nb = rng.binomial(L, null_p, size=runs)
-    nc = rng.binomial(L, null_p, size=runs)
-    ok = (decide(mb, nb, params, params.auth_threshold) == ACCEPT) & (
-        decide(mc, nc, params, params.verify_threshold) == REJECT
-    )
-    return float(ok.mean())
+    accepted = np.count_nonzero(decide(mb, nb, params, params.auth_threshold) == ACCEPT)
+    mc = rng.binomial(L, target, size=accepted)
+    nc = rng.binomial(L, null_p, size=accepted)
+    rejected = np.count_nonzero(decide(mc, nc, params, params.verify_threshold) == REJECT)
+    return float(rejected / runs)
 
 
 def repudiation_bound(params: ProtocolParams) -> float:
@@ -179,22 +148,6 @@ def uniform_forging_strategy() -> ForgingStrategy:
     return ForgingStrategy(np.full((N_PHASES, N_PHASES), 0.25))
 
 
-@dataclass(frozen=True)
-class ForgeResult:
-    mismatches: int
-    length: int
-    null_count: int
-    outcome: Outcome
-
-    @property
-    def mismatch_fraction(self) -> float:
-        return self.mismatches / self.length
-
-    @property
-    def succeeded(self) -> bool:
-        return self.outcome is Outcome.ACCEPTED
-
-
 def expected_forge_cost(
     strategy: ForgingStrategy, params: ProtocolParams, click_matrix=None
 ) -> float:
@@ -209,31 +162,6 @@ def _clicks(params: ProtocolParams, click_matrix) -> np.ndarray:
     return security.cost_entries(click_matrix)
 
 
-def passive_forge_run(
-    strategy: ForgingStrategy,
-    params: ProtocolParams,
-    rng: np.random.Generator,
-    click_matrix=None,
-) -> ForgeResult:
-    """One forging attempt against the verifier.
-
-    Per element the sent phase is uniform, the forger declares according to
-    his outcome matrix, and the verifier's record eliminates the declared
-    phase with the click matrix's probability (``click_matrix`` overrides
-    the analytic one, e.g. to replay a measured matrix). Passive forging
-    leaves the verifier's null monitor at dark counts.
-    """
-    C = _clicks(params, click_matrix)
-    L = params.length
-    sent = rng.multinomial(L, UNIFORM_PHASES)
-    mismatches = 0
-    for i in range(N_PHASES):
-        declared = rng.multinomial(sent[i], strategy.outcome_matrix[i])
-        mismatches += int(rng.binomial(declared, C[i]).sum())
-    nulls = int(rng.binomial(L, params.null_click_prob()))
-    return ForgeResult(mismatches, L, nulls, verify(mismatches, nulls, params))
-
-
 def forge_campaign(
     strategy: ForgingStrategy,
     params: ProtocolParams,
@@ -241,14 +169,20 @@ def forge_campaign(
     rng: np.random.Generator,
     click_matrix=None,
 ) -> tuple[float, float]:
-    """(success frequency, mean mismatch fraction) over many forging runs."""
-    C = _clicks(params, click_matrix)
+    """(success frequency, mean mismatch fraction) over many forging runs.
+
+    Per element the sent phase is uniform, the forger declares according to
+    his outcome matrix, and the verifier's record eliminates the declared
+    phase with the click matrix's probability (``click_matrix`` overrides
+    the analytic one, e.g. to replay a measured matrix). So each element
+    independently mismatches with probability ``expected_forge_cost``, and
+    a run's mismatch count is exactly Binomial(L, cost). Passive forging
+    leaves the verifier's null monitor at dark counts.
+    """
     L = params.length
-    sent = rng.multinomial(L, UNIFORM_PHASES, size=runs)
-    mismatches = np.zeros(runs, dtype=np.int64)
-    for i in range(N_PHASES):
-        declared = rng.multinomial(sent[:, i], strategy.outcome_matrix[i])
-        mismatches += rng.binomial(declared, C[i]).sum(axis=1)
+    # the cost can round to just above 1 when every entry is 1
+    cost = min(1.0, expected_forge_cost(strategy, params, click_matrix))
+    mismatches = rng.binomial(L, cost, size=runs)
     nulls = rng.binomial(L, params.null_click_prob(), size=runs)
     ok = decide(mismatches, nulls, params, params.verify_threshold) == ACCEPT
     return float(ok.mean()), float(mismatches.mean() / L)

@@ -164,9 +164,21 @@ _INT_FIELDS = {"length", "seed", "trials"}
 
 def _number(key: str, value) -> float:
     # JSON true/false are ints to Python, and float() would accept strings
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"field '{key}' must be a number, got {value!r}")
-    return float(value)
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:  # an int too long for a double
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"field '{key}' must be a number, got {value!r}")
+
+
+def _integer(key: str, value) -> int:
+    # an exact int stays exact: a double cannot hold every int below 2**63
+    if not _number(key, value).is_integer():
+        raise ConfigError(f"field '{key}' must be an integer, got {value!r}")
+    return int(value)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -182,9 +194,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 raise ConfigError(f"field 'sweep_grid' must be a list, got {value!r}")
             kwargs[key] = tuple(_number(key, x) for x in value)
         elif key in _INT_FIELDS:
-            if _number(key, value) != int(value):
-                raise ConfigError(f"field '{key}' must be an integer, got {value!r}")
-            kwargs[key] = int(value)
+            kwargs[key] = _integer(key, value)
         elif key in ("auth_threshold", "verify_threshold", "null_abort_fraction"):
             kwargs[key] = None if value is None else _number(key, value)
         else:

@@ -34,6 +34,23 @@ def gram_matrix(alpha_sq: float) -> np.ndarray:
     return np.exp(alpha_sq * (np.exp(1j * (np.pi / 2) * diff) - 1.0))
 
 
+def _dft4(x, forward: bool) -> np.ndarray:
+    """Four-point DFT, the inverse scaled by 1/4, in numpy's radix-4 order.
+
+    Same operations, so the same bits, as ``np.fft.fft``/``np.fft.ifft``
+    on four points, without importing ``numpy.fft``.
+    """
+    x0, x1, x2, x3 = (complex(v) for v in x)
+    t2, t1, t3, t4 = x0 + x2, x0 - x2, x1 + x3, x1 - x3
+    # rotate t4 by -i (forward) or +i (inverse): exact, a swap of its parts
+    t4 = complex(t4.imag, -t4.real) if forward else complex(-t4.imag, t4.real)
+    y = np.array([t2 + t3, t1 + t4, t2 - t3, t1 - t4])
+    if not forward:
+        y.real *= 0.25  # part by part, as numpy scales, so signed zeros match
+        y.imag *= 0.25
+    return y
+
+
 def gram_eigenvalues(g: np.ndarray) -> np.ndarray:
     """Eigenvalues of a circulant Gram matrix via the DFT of its first row.
 
@@ -47,7 +64,7 @@ def gram_eigenvalues(g: np.ndarray) -> np.ndarray:
     idx = (np.arange(N_STATES)[None, :] - np.arange(N_STATES)[:, None]) % N_STATES
     if np.abs(g - g[0][idx]).max() > 1e-12:
         raise ValueError("matrix is not circulant")
-    lam = np.fft.fft(g[0])
+    lam = _dft4(g[0], forward=True)
     if np.abs(lam.imag).max() > 1e-9 or lam.real.min() < -1e-9:
         raise ValueError("matrix is not positive semidefinite circulant")
     return np.clip(lam.real, 0.0, None)
@@ -69,7 +86,7 @@ def srm_outcomes(g: np.ndarray) -> np.ndarray:
         principal matrix square root of g.
     """
     lam = gram_eigenvalues(g)
-    first_row = np.fft.ifft(np.sqrt(lam))  # first row of G^(1/2)
+    first_row = _dft4(np.sqrt(lam), forward=False)  # first row of G^(1/2)
     idx = (np.arange(N_STATES)[None, :] - np.arange(N_STATES)[:, None]) % N_STATES
     half = first_row[idx]
     return np.abs(half) ** 2

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from qdssim import adversary, discrimination, security
 from qdssim.adversary import (
@@ -12,8 +13,6 @@ from qdssim.adversary import (
     forge_campaign,
     intermediate_phase_strategy,
     optimal_repudiation_target,
-    passive_forge_run,
-    repudiate_run,
     repudiation_bound,
     repudiation_frequency,
     srm_forging_strategy,
@@ -21,7 +20,7 @@ from qdssim.adversary import (
     uniform_forging_strategy,
 )
 from qdssim.detection import DetectorModel
-from qdssim.protocol import Outcome, ProtocolParams
+from qdssim.protocol import ACCEPT, UNIFORM_PHASES, ProtocolParams, decide
 
 
 def make_params(**overrides):
@@ -43,35 +42,42 @@ def test_repudiation_target_must_be_reachable():
     params = make_params()
     floor = params.honest_mismatch_prob()
     with pytest.raises(ValueError, match="not achievable"):
-        repudiate_run(RepudiationStrategy(floor / 2), params, np.random.default_rng(0))
+        repudiation_frequency(
+            RepudiationStrategy(floor / 2), params, 10, np.random.default_rng(0)
+        )
     with pytest.raises(ValueError):
-        repudiate_run(RepudiationStrategy(1.1), params, np.random.default_rng(0))
+        repudiation_frequency(RepudiationStrategy(1.1), params, 10, np.random.default_rng(0))
 
 
-def test_repudiate_run_deterministic():
-    params = make_params()
-    s = RepudiationStrategy(0.5)
-    a = repudiate_run(s, params, np.random.default_rng(9))
-    b = repudiate_run(s, params, np.random.default_rng(9))
-    assert a == b
-    assert a.succeeded == (
-        a.bob_outcome is Outcome.ACCEPTED and a.charlie_outcome is Outcome.REJECTED
-    )
-
-
-def test_repudiation_frequency_matches_per_run_sampling():
-    """The vectorized campaign draws from the same distribution as the
-    single-run path; frequencies agree within Monte Carlo error."""
+def test_repudiation_frequency_deterministic():
     params = make_params(length=50)
     s = RepudiationStrategy(0.5)
-    freq = repudiation_frequency(s, params, 20_000, np.random.default_rng(12))
-    singles = [
-        repudiate_run(s, params, np.random.default_rng(1000 + i)).succeeded
-        for i in range(4000)
-    ]
-    single_freq = float(np.mean(singles))
-    sigma = math.sqrt(max(freq * (1 - freq), 1e-9) / 4000)
-    assert abs(freq - single_freq) < 5 * sigma
+    a = repudiation_frequency(s, params, 5000, np.random.default_rng(9))
+    b = repudiation_frequency(s, params, 5000, np.random.default_rng(9))
+    assert a == b
+    assert 0.0 < a < 1.0
+    assert (a * 5000).is_integer()
+
+
+def test_repudiation_frequency_matches_exact_law():
+    """Bob accepts and Charlie rejects independently, each a closed-form
+    binomial event; the campaign's frequency matches their product."""
+    params = make_params(
+        length=40, auth_threshold=0.4, verify_threshold=0.6, null_abort_fraction=0.05
+    )
+    L, target, runs = params.length, 0.5, 200_000
+    k = np.arange(L + 1)
+    mismatch_pmf = stats.binom.pmf(k, L, target)
+    nulls_ok = stats.binom.pmf(k, L, params.null_click_prob())[
+        k <= params.null_abort_fraction * L
+    ].sum()
+    bob_accepts = mismatch_pmf[k < params.auth_threshold * L].sum() * nulls_ok
+    charlie_rejects = mismatch_pmf[k >= params.verify_threshold * L].sum() * nulls_ok
+    q = bob_accepts * charlie_rejects
+    freq = repudiation_frequency(
+        RepudiationStrategy(target), params, runs, np.random.default_rng(12)
+    )
+    assert abs(freq - q) < 5 * math.sqrt(q * (1 - q) / runs)
 
 
 def test_repudiation_bound_and_midpoint():
@@ -168,15 +174,95 @@ def test_expected_cost_orderings():
     assert srm_cost >= bounds.c_min_lower
 
 
-def test_passive_forge_run_deterministic_and_counts():
+def test_forge_campaign_deterministic():
     params = make_params(length=500)
     s = uniform_forging_strategy()
-    a = passive_forge_run(s, params, np.random.default_rng(2))
-    b = passive_forge_run(s, params, np.random.default_rng(2))
+    a = forge_campaign(s, params, 200, np.random.default_rng(2))
+    b = forge_campaign(s, params, 200, np.random.default_rng(2))
     assert a == b
-    assert 0 <= a.mismatches <= 500
-    assert a.length == 500
-    assert a.mismatch_fraction == a.mismatches / 500
+    freq, mean_fraction = a
+    assert 0.0 <= freq <= 1.0 and (freq * 200).is_integer()
+    assert 0.0 <= mean_fraction <= 1.0
+    assert mean_fraction * 500 * 200 == pytest.approx(round(mean_fraction * 500 * 200))
+
+
+def reference_forge_counts(strategy, params, runs, rng, C):
+    """Per-run mismatches and acceptances from the element-level chain:
+    sent phases, then declared phases, then eliminations of the declared
+    phase, summed over the run."""
+    L = params.length
+    sent = rng.multinomial(L, UNIFORM_PHASES, size=runs)
+    mismatches = np.zeros(runs, dtype=np.int64)
+    for i in range(4):
+        declared = rng.multinomial(sent[:, i], strategy.outcome_matrix[i])
+        mismatches += rng.binomial(declared, C[i]).sum(axis=1)
+    nulls = rng.binomial(L, params.null_click_prob(), size=runs)
+    return mismatches, decide(mismatches, nulls, params, params.verify_threshold) == ACCEPT
+
+
+def campaign_counts(monkeypatch, strategy, params, runs, rng, C):
+    """Per-run mismatches and acceptances that ``forge_campaign`` decides on."""
+    seen = {}
+
+    def spy(mismatches, nulls, p, threshold):
+        seen["m"], seen["codes"] = mismatches, decide(mismatches, nulls, p, threshold)
+        return seen["codes"]
+
+    monkeypatch.setattr(adversary, "decide", spy)
+    freq, mean_fraction = forge_campaign(strategy, params, runs, rng, C)
+    ok = seen["codes"] == ACCEPT
+    assert freq == ok.mean()
+    assert mean_fraction == seen["m"].mean() / params.length
+    return seen["m"], ok
+
+
+COARSE = np.full((4, 4), 0.5)
+np.fill_diagonal(COARSE, 0.05)
+
+
+@pytest.mark.parametrize(
+    "C, thresholds, null_abort_fraction",
+    [
+        # any mismatch or any null fails the forger: both counts decide
+        (security.reference_cost_matrix().entries, (5e-5, 1e-4), 1.5e-4),
+        # cost 0.0916 against s_v = 0.092: about half the runs succeed
+        (COARSE, (0.05, 0.092), 0.01),
+    ],
+    ids=["bundled", "coarse"],
+)
+def test_forge_campaign_matches_element_level_chain(
+    monkeypatch, C, thresholds, null_abort_fraction
+):
+    params = make_params(
+        length=2000,
+        auth_threshold=thresholds[0],
+        verify_threshold=thresholds[1],
+        null_abort_fraction=null_abort_fraction,
+    )
+    s = srm_forging_strategy(1.0)
+    runs = 3000
+    m, ok = campaign_counts(monkeypatch, s, params, runs, np.random.default_rng(31), C)
+    m_ref, ok_ref = reference_forge_counts(s, params, runs, np.random.default_rng(32), C)
+    L, p = params.length, expected_forge_cost(s, params, C)
+    var = L * p * (1 - p)
+    fourth = var * (1 + 3 * (L - 2) * p * (1 - p))  # central fourth moment
+    assert abs(m.mean() - L * p) < 5 * math.sqrt(var / runs)
+    assert abs(m.mean() - m_ref.mean()) < 5 * math.sqrt(2 * var / runs)
+    sd_var = math.sqrt(2 * (fourth - var**2) / runs)
+    assert abs(m.var(ddof=1) - m_ref.var(ddof=1)) < 5 * sd_var
+    q = (ok.sum() + ok_ref.sum()) / (2 * runs)
+    assert 0.05 < q < 0.95
+    assert abs(int(ok.sum()) - int(ok_ref.sum())) < 5 * math.sqrt(2 * runs * q * (1 - q))
+
+
+def test_forge_campaign_clamps_a_cost_rounded_past_one():
+    """On an all-ones matrix the SRM cost can round to 1 + 2**-52, which
+    ``rng.binomial`` would refuse; every element mismatches instead."""
+    params = make_params()
+    s = srm_forging_strategy(9.949924812030076)
+    ones = np.ones((4, 4))
+    assert expected_forge_cost(s, params, ones) > 1.0
+    assert forge_campaign(s, params, 50, np.random.default_rng(3), ones) == (0.0, 1.0)
 
 
 def test_forge_campaign_mean_tracks_expected_cost():

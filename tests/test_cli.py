@@ -409,6 +409,28 @@ def test_attack_rejects_non_finite_flag_values(capsys, kind, flag, value):
     assert f"argument {flag}: must be a finite number" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "bounds"])
+@pytest.mark.parametrize("key", ["length", "alpha_sq"])
+def test_an_integer_too_long_for_a_double_is_a_config_error(tmp_path, capsys, command, key):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text('{"%s": 1%s}' % (key, "0" * 400))
+    argv = [command, "--trials", "1", "--config", str(cfg)]
+    if command == "bounds":
+        argv.append(REF)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"field '{key}' must be a number" in err
+
+
+def test_the_largest_length_is_an_exact_integer(tmp_path, capsys):
+    cfg = tmp_path / "longest.json"
+    cfg.write_text('{"length": 9223372036854775807}')  # 2**63 - 1, not a double
+    code, out, _ = run_cli(capsys, "simulate", "--trials", "1", "--config", str(cfg))
+    assert code == 0
+    assert "length = 9223372036854775807\n" in out
+
+
 @pytest.mark.parametrize("length", ["1e300", "9223372036854775808"])
 def test_oversized_length_is_a_config_error(tmp_path, capsys, length):
     cfg = tmp_path / "long.json"

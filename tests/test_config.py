@@ -118,6 +118,22 @@ def test_config_from_dict_errors():
         config_from_dict([1, 2])
 
 
+def test_integer_fields_keep_exact_ints():
+    # a double cannot hold these, yet they are valid integers
+    assert config_from_dict({"length": 2**53 + 1}).length == 2**53 + 1
+    assert config_from_dict({"seed": 2**70 + 1}).seed == 2**70 + 1
+    assert config_from_dict({"trials": 3.0}).trials == 3
+    with pytest.raises(ConfigError, match="invalid value for field 'length'"):
+        config_from_dict({"length": 2**63})
+
+
+@pytest.mark.parametrize("key", ["seed", "auth_threshold", "sweep_grid"])
+def test_an_int_beyond_any_double_names_its_field(key):
+    huge = 10**400
+    with pytest.raises(ConfigError, match=f"field '{key}' must be a number"):
+        config_from_dict({key: [huge] if key == "sweep_grid" else huge})
+
+
 def test_load_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"alpha_sq": 0.5, "length": 100, "seed": 1}))

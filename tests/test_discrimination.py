@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +41,34 @@ def test_gram_eigenvalues_rejects_non_circulant():
         disc.gram_eigenvalues(g)
     with pytest.raises(ValueError):
         disc.gram_eigenvalues(np.eye(3))
+
+
+def _bits(z):
+    return np.ascontiguousarray(z, dtype=complex).view(np.int64)
+
+
+def test_dft4_is_bit_identical_to_numpy_fft():
+    rng = np.random.default_rng(4)
+    rows = [disc.gram_matrix(a2)[0] for a2 in np.linspace(0.0, 40.0, 401)]
+    roots = [np.sqrt(disc.gram_eigenvalues(disc.gram_matrix(a2))) for a2 in (0.0, 0.5, 1.0, 7.3)]
+    noise = rng.normal(size=(2000, 4)) + 1j * rng.normal(size=(2000, 4))
+    scaled = noise * 10.0 ** rng.integers(-8, 8, size=(2000, 1))
+    zeros = [np.full(4, complex(-0.0, -0.0)), np.array([1, -0.0, 1, -0.0], dtype=complex)]
+    for x in [*rows, *roots, *scaled, *zeros]:
+        np.testing.assert_array_equal(_bits(disc._dft4(x, forward=True)), _bits(np.fft.fft(x)))
+        np.testing.assert_array_equal(_bits(disc._dft4(x, forward=False)), _bits(np.fft.ifft(x)))
+
+
+def test_analysis_does_not_import_numpy_fft():
+    code = (
+        "import sys, qdssim\n"
+        "from qdssim import security\n"
+        "security.analyze(security.reference_cost_matrix(), 1.0, 1e-4)\n"
+        "print('numpy.fft' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_srm_outcomes_row_stochastic_and_symmetric():
