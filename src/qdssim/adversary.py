@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import detection, discrimination, security
+from . import detection, discrimination, optics, security
 from .protocol import ACCEPT, N_PHASES, REJECT, ProtocolParams, decide
 
 
@@ -59,6 +59,8 @@ def repudiation_frequency(
     binomials at the targeted probability. Being independent of Bob's,
     Charlie's counts are drawn only for the runs Bob accepted.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     target = _check_target(strategy, params)
     L = params.length
     null_p = params.null_click_prob()
@@ -179,6 +181,8 @@ def forge_campaign(
     a run's mismatch count is exactly Binomial(L, cost). Passive forging
     leaves the verifier's null monitor at dark counts.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     L = params.length
     # the cost can round to just above 1 when every entry is 1
     cost = min(1.0, expected_forge_cost(strategy, params, click_matrix))
@@ -256,16 +260,15 @@ def tamper_null_click_probs(params: ProtocolParams, substituted_amplitude: compl
     """Null-monitor click probability per sent phase if one arm is swapped.
 
     A tamperer replacing the second recipient's multiport input with a
-    fixed amplitude breaks the honest cancellation: the null port carries
-    (honest - substituted)/2, attenuated by the multiport transmittance.
-    Returned per honest phase index; compare with the dark rate to see the
-    alarm the tamperer trips.
+    fixed amplitude breaks the honest cancellation: the multiport's null
+    port carries (honest - substituted)/2, attenuated by the multiport
+    transmittance. Returned per honest phase index; compare with the dark
+    rate to see the alarm the tamperer trips.
     """
     amp = math.sqrt(params.alpha_sq)
     t = params.channel.multiport_transmittance
     probs = np.empty(N_PHASES)
     for k in range(N_PHASES):
-        honest = amp * (1j**k)
-        null_intensity = abs(honest - complex(substituted_amplitude)) ** 2 / 4.0 * t
-        probs[k] = detection.click_probability(null_intensity, params.detector)
+        null = optics.multiport(amp * (1j**k), substituted_amplitude).bob_null
+        probs[k] = detection.click_probability(optics.intensity(null) * t, params.detector)
     return probs

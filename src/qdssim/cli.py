@@ -222,27 +222,15 @@ def cmd_simulate(cfg: ExperimentConfig, out_path) -> int:
     params = cfg.protocol_params()
     runs = _runs(cfg)
     streams = np.random.SeedSequence(cfg.seed).spawn(runs)
-    outcome_names = [o.value for o in protocol.Outcome]
-    bob_counts = dict.fromkeys(outcome_names, 0)
-    charlie_counts = dict.fromkeys(outcome_names, 0)
     clicks = np.zeros((4, 4), dtype=np.int64)
     pulses = np.zeros(4, dtype=np.int64)
-    sum_mismatch_b = sum_mismatch_c = 0
-    sum_null_b = sum_null_c = 0
     rows = []
-    last = None
     for run, ss in enumerate(streams):
         res = protocol.run_honest_exchange(params, np.random.default_rng(ss))
         dist = res.distribution
         for view in (dist.bob[res.message_bit], dist.charlie[res.message_bit]):
             clicks += view.clicks
             pulses += dist.keys[res.message_bit].pulses
-        bob_counts[res.bob_outcome.value] += 1
-        charlie_counts[res.charlie_outcome.value] += 1
-        sum_mismatch_b += res.bob_mismatches
-        sum_mismatch_c += res.charlie_mismatches
-        sum_null_b += res.bob_null_count
-        sum_null_c += res.charlie_null_count
         rows.append(
             [
                 run,
@@ -254,8 +242,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_path) -> int:
                 res.charlie_outcome.value,
             ]
         )
-        last = res
     estimated = security.cost_matrix_from_counts(clicks, pulses)
+    _, mismatch_b, mismatch_c, null_b, null_c, outcome_b, outcome_c = zip(*rows)
     total = runs * params.length
     pairs = [
         ("runs", runs),
@@ -266,16 +254,16 @@ def cmd_simulate(cfg: ExperimentConfig, out_path) -> int:
         ("null_abort_fraction", params.null_abort_fraction),
         ("analytic_p_honest", params.honest_mismatch_prob()),
         ("estimated_p_honest", float(np.diag(estimated.entries).mean())),
-        ("bob_accepted_freq", bob_counts["accepted"] / runs),
-        ("bob_rejected_freq", bob_counts["rejected"] / runs),
-        ("bob_aborted_freq", bob_counts["aborted"] / runs),
-        ("charlie_accepted_freq", charlie_counts["accepted"] / runs),
-        ("charlie_rejected_freq", charlie_counts["rejected"] / runs),
-        ("charlie_aborted_freq", charlie_counts["aborted"] / runs),
-        ("mean_mismatch_fraction_bob", sum_mismatch_b / total),
-        ("mean_mismatch_fraction_charlie", sum_mismatch_c / total),
-        ("mean_null_count_bob", sum_null_b / runs),
-        ("mean_null_count_charlie", sum_null_c / runs),
+        ("bob_accepted_freq", outcome_b.count("accepted") / runs),
+        ("bob_rejected_freq", outcome_b.count("rejected") / runs),
+        ("bob_aborted_freq", outcome_b.count("aborted") / runs),
+        ("charlie_accepted_freq", outcome_c.count("accepted") / runs),
+        ("charlie_rejected_freq", outcome_c.count("rejected") / runs),
+        ("charlie_aborted_freq", outcome_c.count("aborted") / runs),
+        ("mean_mismatch_fraction_bob", sum(mismatch_b) / total),
+        ("mean_mismatch_fraction_charlie", sum(mismatch_c) / total),
+        ("mean_null_count_bob", sum(null_b) / runs),
+        ("mean_null_count_charlie", sum(null_c) / runs),
         ("expected_null_count", params.null_click_prob() * params.length),
     ]
     if out_path:
@@ -288,10 +276,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_path) -> int:
             ["run", "bob_mismatches", "charlie_mismatches", "bob_nulls", "charlie_nulls", "bob_outcome", "charlie_outcome"],
             rows,
         )
-        bit = last.message_bit
-        key = last.distribution.keys[bit]
-        protocol.write_transcript(out_dir / "transcript_bob.txt", bit, last.distribution.bob[bit], key)
-        protocol.write_transcript(out_dir / "transcript_charlie.txt", bit, last.distribution.charlie[bit], key)
+        bit = res.message_bit  # the transcripts are the last run's
+        key = res.distribution.keys[bit]
+        protocol.write_transcript(out_dir / "transcript_bob.txt", bit, res.distribution.bob[bit], key)
+        protocol.write_transcript(out_dir / "transcript_charlie.txt", bit, res.distribution.charlie[bit], key)
     else:
         _emit_kv(pairs, None)
     return 0

@@ -107,9 +107,7 @@ class ExperimentConfig:
         )
 
     def receiver_intensity(self, alpha_sq: float | None = None) -> float:
-        a2 = self.alpha_sq if alpha_sq is None else alpha_sq
-        ch = self.channel()
-        return a2 * ch.total_transmittance * (1.0 + ch.multiport_visibility) / 2.0
+        return self.channel().receiver_intensity(self.alpha_sq if alpha_sq is None else alpha_sq)
 
     def analytic_click_matrix(self):
         return detection.phase_click_matrix(self.receiver_intensity(), self.detector())
@@ -207,16 +205,15 @@ def read_config_file(path) -> dict:
     try:
         with open(path) as f:
             data = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+    except ValueError as exc:
+        # JSONDecodeError is a ValueError, and so is int()'s refusal of an
+        # integer literal past Python's digit limit, whose advice to change
+        # that limit is of no use to the author of a config file
+        reason = str(exc).split("; use sys.set_int_max_str_digits")[0]
+        raise ConfigError(f"{path}: cannot read JSON ({reason})") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: configuration must be a JSON object, got {type(data).__name__}")
     return data
-
-
-def load_config(path) -> ExperimentConfig:
-    """Read a JSON configuration file (flat keys, see ExperimentConfig)."""
-    return config_from_dict(read_config_file(path))
 
 
 # Named parameter sets. "paper-2014" is the tabletop demonstration the

@@ -78,26 +78,28 @@ def visibility_adjusted_intensity(
     return (intensity(s) + intensity(r)) / 4.0 - visibility * cross / 2.0
 
 
+# (j - i) mod 4 at entry (i, j): the offset of the eliminated phase from the sent one
+_OFFSETS = (np.arange(4) - np.arange(4)[:, None]) % 4
+
+
 def phase_click_matrix(intensity_into_receiver: float, det: DetectorModel) -> np.ndarray:
     """Analytic click matrix of an honest transmission.
 
     Entry (i, j) is the probability that the detector eliminating phase j
     clicks when phase i was sent, for a signal of the given intensity and
-    a reference matched to it. Row structure: the diagonal sees only the
-    visibility leak (1-V)/2, the opposite phase the full beat (1+V)/2, and
-    the two adjacent phases half the intensity regardless of visibility.
+    a reference matched to it. It depends only on the offset (j - i) mod 4:
+    the sent phase sees only the visibility leak (1-V)/2, the opposite
+    phase the full beat (1+V)/2, and the two adjacent phases half the
+    intensity regardless of visibility.
     """
     if intensity_into_receiver < 0:
         raise ValueError(f"intensity must be >= 0, got {intensity_into_receiver}")
     amp = math.sqrt(intensity_into_receiver)
-    mat = np.empty((4, 4))
-    for i in range(4):
-        sig = amp * (1j ** i)
-        for j in range(4):
-            mat[i, j] = click_probability(
-                visibility_adjusted_intensity(sig, amp, j, det.visibility), det
-            )
-    return mat
+    same, adjacent, opposite = (
+        click_probability(visibility_adjusted_intensity(amp, amp, k, det.visibility), det)
+        for k in range(3)
+    )
+    return np.array((same, adjacent, opposite, adjacent))[_OFFSETS]
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,7 @@ never need field operators, only the amplitude algebra.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-# i**k for the four constellation phases k*pi/2
-PHASE_FACTORS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 def intensity(a: complex) -> float:
@@ -21,37 +17,11 @@ def intensity(a: complex) -> float:
     return a.real * a.real + a.imag * a.imag
 
 
-def apply_phase(a: complex, symbol: int) -> complex:
-    """Rotate amplitude ``a`` by ``symbol * pi/2``; symbol must be 0..3."""
-    if symbol not in (0, 1, 2, 3):
-        raise ValueError(f"phase symbol must be in 0..3, got {symbol!r}")
-    return complex(a) * PHASE_FACTORS[symbol]
-
-
-def apply_loss(a: complex, transmittance: float) -> complex:
-    """Attenuate amplitude ``a`` through a channel of given transmittance.
-
-    The amplitude scales by sqrt(transmittance), so the pulse intensity
-    scales linearly. Raises ValueError outside [0, 1].
-    """
-    if not 0.0 <= transmittance <= 1.0:
-        raise ValueError(f"transmittance must lie in [0, 1], got {transmittance}")
-    return complex(a) * math.sqrt(transmittance)
-
-
 def db_to_transmittance(loss_db: float) -> float:
     """Convert an attenuation in dB (>= 0) to a transmittance in (0, 1]."""
     if loss_db < 0:
         raise ValueError(f"loss in dB must be >= 0, got {loss_db}")
     return 10.0 ** (-loss_db / 10.0)
-
-
-def beam_splitter(a: complex, b: complex) -> tuple[complex, complex]:
-    """Symmetric 50/50 beam splitter, convention ((a+b), (a-b)) / sqrt(2)."""
-    a = complex(a)
-    b = complex(b)
-    s = 1.0 / math.sqrt(2.0)
-    return ((a + b) * s, (a - b) * s)
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,10 @@ class ChannelModel:
             * self.interferometer_transmittance
         )
 
+    def receiver_intensity(self, alpha_sq: float) -> float:
+        """Mean photon number reaching an elimination receiver from a launch of ``alpha_sq``."""
+        return alpha_sq * self.total_transmittance * (1.0 + self.multiport_visibility) / 2.0
+
 
 IDEAL_CHANNEL = ChannelModel()
 
@@ -131,12 +135,7 @@ class ProtocolParams:
 
     def receiver_intensity(self) -> float:
         """Mean photon number reaching a recipient's elimination receiver."""
-        return (
-            self.alpha_sq
-            * self.channel.total_transmittance
-            * (1.0 + self.channel.multiport_visibility)
-            / 2.0
-        )
+        return self.channel.receiver_intensity(self.alpha_sq)
 
     def click_matrix(self) -> np.ndarray:
         """Analytic (sent phase x eliminated phase) click probabilities, read-only."""

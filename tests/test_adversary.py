@@ -20,7 +20,7 @@ from qdssim.adversary import (
     uniform_forging_strategy,
 )
 from qdssim.detection import DetectorModel
-from qdssim.protocol import ACCEPT, UNIFORM_PHASES, ProtocolParams, decide
+from qdssim.protocol import ACCEPT, UNIFORM_PHASES, ChannelModel, ProtocolParams, decide
 
 
 def make_params(**overrides):
@@ -397,6 +397,43 @@ def test_tamper_null_clicks_silent_for_matching_amplitude():
     vac = tamper_null_click_probs(params, 0.0)
     expected = 1 - (1 - 1e-5) * math.exp(-0.25)
     assert vac[0] == pytest.approx(expected, rel=1e-9)
+
+
+def test_tamper_null_clicks_through_the_multiport_match_the_null_formula():
+    # reference: the null port carries (honest - substituted)/2, attenuated
+    # by the multiport transmittance
+    rng = np.random.default_rng(77)
+    for _ in range(200):
+        params = make_params(
+            alpha_sq=rng.uniform(0.0, 5.0),
+            channel=ChannelModel(multiport_transmittance=rng.uniform()),
+            detector=DetectorModel(efficiency=rng.uniform(), dark_click_prob=rng.uniform(0.0, 1e-3)),
+        )
+        sub = complex(rng.normal(), rng.normal())
+        amp = math.sqrt(params.alpha_sq)
+        t = params.channel.multiport_transmittance
+        expected = [
+            1.0 - (1.0 - params.detector.dark_click_prob)
+            * math.exp(-params.detector.efficiency * abs(amp * 1j**k - sub) ** 2 / 4.0 * t)
+            for k in range(4)
+        ]
+        np.testing.assert_allclose(tamper_null_click_probs(params, sub), expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("campaign", ["repudiation", "forge"])
+@pytest.mark.parametrize("runs", [0, -1])
+def test_campaigns_need_at_least_one_run(campaign, runs):
+    params = make_params()
+
+    class NoDraws:  # any draw would fail the test
+        def __getattr__(self, name):
+            raise AssertionError(f"drew from the generator ({name}) before checking runs")
+
+    with pytest.raises(ValueError, match="runs must be >= 1"):
+        if campaign == "repudiation":
+            repudiation_frequency(RepudiationStrategy(0.5), params, runs, NoDraws())
+        else:
+            forge_campaign(uniform_forging_strategy(), params, runs, NoDraws())
 
 
 def test_omniscient_forger_pays_only_the_honest_rate():

@@ -423,6 +423,16 @@ def test_an_integer_too_long_for_a_double_is_a_config_error(tmp_path, capsys, co
     assert f"field '{key}' must be a number" in err
 
 
+def test_an_integer_past_the_digit_limit_names_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "digits.json"
+    cfg.write_text('{"seed": 1%s}' % ("0" * 5000))
+    code, out, err = run_cli(capsys, "simulate", "--trials", "1", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert str(cfg) in err
+    assert "set_int_max_str_digits" not in err
+
+
 def test_the_largest_length_is_an_exact_integer(tmp_path, capsys):
     cfg = tmp_path / "longest.json"
     cfg.write_text('{"length": 9223372036854775807}')  # 2**63 - 1, not a double

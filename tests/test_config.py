@@ -6,7 +6,7 @@ import pytest
 
 from qdssim import config as config_mod
 from qdssim import discrimination, security
-from qdssim.config import ConfigError, ExperimentConfig, config_from_dict, load_config, preset
+from qdssim.config import ConfigError, ExperimentConfig, config_from_dict, preset, read_config_file
 
 
 def test_defaults_are_ideal():
@@ -137,12 +137,23 @@ def test_an_int_beyond_any_double_names_its_field(key):
 def test_load_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"alpha_sq": 0.5, "length": 100, "seed": 1}))
-    cfg = load_config(path)
+    cfg = config_from_dict(read_config_file(path))
     assert cfg.alpha_sq == 0.5
     assert cfg.length == 100
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="JSON"):
-        load_config(path)
+        read_config_file(path)
+
+
+@pytest.mark.parametrize("name", ["ideal", "paper-2014"])
+def test_receiver_intensity_has_one_formula(name):
+    cfg = preset(name)
+    params = cfg.protocol_params()
+    expected = cfg.channel().receiver_intensity(cfg.alpha_sq)
+    assert cfg.receiver_intensity() == expected
+    assert cfg.receiver_intensity(cfg.alpha_sq) == expected
+    assert params.receiver_intensity() == expected
+    assert params.channel.receiver_intensity(params.alpha_sq) == expected
 
 
 def test_nullable_threshold_fields_accept_null():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdssim import detection, optics
 from qdssim.detection import DetectorModel, IDEAL_DETECTOR
@@ -92,6 +94,35 @@ def test_phase_click_matrix_structure():
         assert m[i, (i + 2) % 4] == pytest.approx(p, rel=1e-12)
         assert m[i, (i + 1) % 4] == pytest.approx(q, rel=1e-12)
         assert m[i, (i + 3) % 4] == pytest.approx(q, rel=1e-12)
+
+
+def _click_matrix_by_entries(I, det):
+    # reference: one scalar intensity and click probability per (sent, eliminated) pair
+    amp = math.sqrt(I)
+    mat = np.empty((4, 4))
+    for i in range(4):
+        for j in range(4):
+            mat[i, j] = detection.click_probability(
+                detection.visibility_adjusted_intensity(amp * 1j**i, amp, j, det.visibility), det
+            )
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    I=st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-300, 1e-17]),
+        st.floats(0.0, 50.0),
+    ),
+    efficiency=st.floats(0.0, 1.0),
+    dark=st.floats(0.0, 1.0, exclude_max=True),
+    visibility=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+)
+def test_phase_click_matrix_is_bit_identical_to_entrywise_reference(I, efficiency, dark, visibility):
+    det = DetectorModel(efficiency, dark, visibility)
+    got = detection.phase_click_matrix(I, det)
+    assert got.shape == (4, 4) and got.dtype == np.float64
+    assert got.tobytes() == _click_matrix_by_entries(I, det).tobytes()
 
 
 def test_phase_click_matrix_rejects_negative_intensity():
