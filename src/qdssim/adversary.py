@@ -30,20 +30,32 @@ from .protocol import ACCEPT, N_PHASES, REJECT, ProtocolParams, decide
 
 @dataclass(frozen=True)
 class RepudiationStrategy:
-    """A symmetrized attack pinned at one per-element mismatch probability."""
+    """A symmetrized attack pinned at one per-element mismatch probability.
+
+    A target below the channel's noise floor cannot be realized; which
+    floor applies depends on the matrix that governs the run, so callers
+    check it against that matrix.
+    """
 
     target_mismatch_prob: float
 
+    def __post_init__(self):
+        if not 0.0 <= self.target_mismatch_prob <= 1.0:
+            raise ValueError(
+                f"target mismatch probability must lie in [0, 1], got {self.target_mismatch_prob}"
+            )
 
-def _check_target(strategy: RepudiationStrategy, params: ProtocolParams) -> float:
-    target = strategy.target_mismatch_prob
-    floor = params.honest_mismatch_prob()
-    if not floor <= target <= 1.0:
-        raise ValueError(
-            f"target mismatch probability {target} is not achievable; "
-            f"the channel noise floor is {floor}"
-        )
-    return target
+
+def _decisions(p: float, runs: int, params: ProtocolParams, threshold: float, rng: np.random.Generator):
+    """(decision codes, mismatch counts) of ``runs`` runs at mismatch probability p.
+
+    Each run's mismatch count is Binomial(L, p) and its null count
+    Binomial(L, d), d the dark-click probability: what a recipient sees
+    when the null monitor stays at dark counts. Drawn in that order.
+    """
+    mismatches = rng.binomial(params.length, p, size=runs)
+    nulls = rng.binomial(params.length, params.null_click_prob(), size=runs)
+    return decide(mismatches, nulls, params, threshold), mismatches
 
 
 def repudiation_frequency(
@@ -61,16 +73,11 @@ def repudiation_frequency(
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    target = _check_target(strategy, params)
-    L = params.length
-    null_p = params.null_click_prob()
-    mb = rng.binomial(L, target, size=runs)
-    nb = rng.binomial(L, null_p, size=runs)
-    accepted = np.count_nonzero(decide(mb, nb, params, params.auth_threshold) == ACCEPT)
-    mc = rng.binomial(L, target, size=accepted)
-    nc = rng.binomial(L, null_p, size=accepted)
-    rejected = np.count_nonzero(decide(mc, nc, params, params.verify_threshold) == REJECT)
-    return float(rejected / runs)
+    target = strategy.target_mismatch_prob
+    bob, _ = _decisions(target, runs, params, params.auth_threshold, rng)
+    accepted = np.count_nonzero(bob == ACCEPT)
+    charlie, _ = _decisions(target, accepted, params, params.verify_threshold, rng)
+    return float(np.count_nonzero(charlie == REJECT) / runs)
 
 
 def repudiation_bound(params: ProtocolParams) -> float:
@@ -115,13 +122,10 @@ class ForgingStrategy:
     """A forger summarized by what he declares given what was sent.
 
     ``outcome_matrix[i, j]`` is the probability he declares phase j when
-    phase i was sent (row-stochastic). ``amplitude_scale`` is the amplitude
-    multiplier of the copy he measures: 1 for a passive forger, sqrt(3/2)
-    in the active analysis where he also steals the multiport dump port.
+    phase i was sent (row-stochastic).
     """
 
     outcome_matrix: np.ndarray
-    amplitude_scale: float = 1.0
 
     def __post_init__(self):
         m = np.asarray(self.outcome_matrix, dtype=float)
@@ -129,20 +133,20 @@ class ForgingStrategy:
             raise ValueError(f"outcome matrix must be 4x4, got shape {m.shape}")
         if m.min() < 0 or np.abs(m.sum(axis=1) - 1.0).max() > 1e-9:
             raise ValueError("outcome matrix rows must be probability vectors")
-        if self.amplitude_scale <= 0:
-            raise ValueError(f"amplitude_scale must be > 0, got {self.amplitude_scale}")
         object.__setattr__(self, "outcome_matrix", m)
 
 
 def srm_forging_strategy(alpha_sq: float, amplitude_scale: float = 1.0) -> ForgingStrategy:
     """Forger running the optimal square-root measurement on his copy.
 
-    He is granted the full launch amplitude (scaled), i.e. no channel loss
-    on his side; that makes the simulated forger at least as strong as any
-    physical one at the same scale.
+    He is granted the full launch amplitude times ``amplitude_scale`` (1
+    for a passive forger, sqrt(3/2) in the active analysis where he also
+    steals the multiport dump port), i.e. no channel loss on his side;
+    that makes the simulated forger at least as strong as any physical one
+    at the same scale.
     """
     g = discrimination.gram_matrix(alpha_sq * amplitude_scale**2)
-    return ForgingStrategy(discrimination.srm_outcomes(g), amplitude_scale)
+    return ForgingStrategy(discrimination.srm_outcomes(g))
 
 
 def uniform_forging_strategy() -> ForgingStrategy:
@@ -183,13 +187,10 @@ def forge_campaign(
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    L = params.length
     # the cost can round to just above 1 when every entry is 1
     cost = min(1.0, expected_forge_cost(strategy, params, click_matrix))
-    mismatches = rng.binomial(L, cost, size=runs)
-    nulls = rng.binomial(L, params.null_click_prob(), size=runs)
-    ok = decide(mismatches, nulls, params, params.verify_threshold) == ACCEPT
-    return float(ok.mean()), float(mismatches.mean() / L)
+    codes, mismatches = _decisions(cost, runs, params, params.verify_threshold, rng)
+    return float((codes == ACCEPT).mean()), float(mismatches.mean() / params.length)
 
 
 # ------------------------------------------------------------------ active forging
@@ -229,12 +230,11 @@ def active_forge_budget(
     floor uses ``amplitude_scale**2 * alpha_sq`` mean photons. Vacuous
     parameter sets are reported, not raised.
     """
-    C = _clicks(params, cost_matrix)
-    dec = security.decompose(C)
+    dec = security.decompose(_clicks(params, cost_matrix))
     scaled_min_error = discrimination.min_error_probability(
         params.alpha_sq * amplitude_scale**2
     )
-    c_prime_min = dec.p_honest + scaled_min_error * dec.guaranteed_advantage
+    c_prime_min = security.bound_min_cost(dec, scaled_min_error).c_min_lower
     allowance = math.sqrt(params.epsilon + params.null_abort_fraction)
     margin = c_prime_min - params.verify_threshold - allowance
     hoeffding_term = (

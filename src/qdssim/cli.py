@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -45,6 +46,11 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".12g")
     return str(x)
+
+
+def _fields(record) -> list[tuple[str, object]]:
+    """(field name, value) of a result record, in declaration order."""
+    return [(f.name, getattr(record, f.name)) for f in dataclasses.fields(record)]
 
 
 def _emit_kv(pairs, out_path):
@@ -107,6 +113,8 @@ def _finite_float(text: str) -> float:
 
 def _amplitude_scale(args, alpha_sq: float, default: float) -> float:
     scale = default if args.amplitude_scale is None else args.amplitude_scale
+    if scale <= 0:
+        raise UsageError(f"argument --amplitude-scale: must be > 0, got {scale}")
     if not math.isfinite(alpha_sq * scale * scale):
         raise UsageError(
             f"argument --amplitude-scale: the forger's mean photon number alpha_sq * {scale}**2 is not finite"
@@ -152,42 +160,26 @@ def build_parser() -> _Parser:
 
 def cmd_sweep(cfg: ExperimentConfig, out_path) -> int:
     det = cfg.detector()
-    header = [
-        "alpha_sq",
-        "elimination_success",
-        "elimination_error",
-        "full_identification",
-        "identification_error",
-    ]
-    mc = cfg.trials > 0
-    if mc:
-        header += ["mc_" + h for h in header[1:]]
     streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.sweep_grid))
     rows = []
     for a2, ss in zip(cfg.sweep_grid, streams):
         i_rx = cfg.receiver_intensity(a2)
-        rates = detection.measurement_rates(i_rx, det)
-        row = [
-            a2,
-            rates.elimination_success,
-            rates.elimination_error,
-            rates.full_identification,
-            rates.identification_error,
-        ]
-        if mc:
+        pairs = [("alpha_sq", a2), *_fields(detection.measurement_rates(i_rx, det))]
+        if cfg.trials > 0:
             rng = np.random.default_rng(ss)
             probs = detection.phase_click_matrix(i_rx, det)[0]  # phase 0 sent
             clicks = rng.random((cfg.trials, 4)) < probs
             err_click = clicks[:, 0]  # detector that rules out the sent state
             others = clicks[:, 1:]
-            row += [
-                float((~err_click & others.any(axis=1)).mean()),
-                float(err_click.mean()),
-                float((~err_click & others.all(axis=1)).mean()),
-                float((err_click & others.all(axis=1)).mean()),
-            ]
-        rows.append(row)
-    _write_csv(out_path, header, rows)
+            mc = detection.MeasurementRates(
+                elimination_success=float((~err_click & others.any(axis=1)).mean()),
+                elimination_error=float(err_click.mean()),
+                full_identification=float((~err_click & others.all(axis=1)).mean()),
+                identification_error=float((err_click & others.all(axis=1)).mean()),
+            )
+            pairs += [("mc_" + k, v) for k, v in _fields(mc)]
+        rows.append(pairs)
+    _write_csv(out_path, [k for k, _ in rows[0]], [[v for _, v in row] for row in rows])
     return 0
 
 
@@ -196,22 +188,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_path) -> int:
 def cmd_bounds(cfg: ExperimentConfig, matrix_path, out_path) -> int:
     matrix = security.read_cost_matrix(matrix_path)
     report = security.analyze(matrix, cfg.alpha_sq, cfg.security_level)
-    pairs = [(k, getattr(report, k)) for k in (
-        "alpha_sq",
-        "security_level",
-        "p_honest",
-        "guaranteed_advantage",
-        "min_error",
-        "g_lower",
-        "g_upper",
-        "c_min_lower",
-        "c_min_upper",
-        "auth_threshold",
-        "verify_threshold",
-        "required_length",
-        "failure_bound",
-    )]
-    pairs.append(("sequence_seconds", report.required_length / cfg.clock_hz))
+    pairs = _fields(report) + [("sequence_seconds", report.required_length / cfg.clock_hz)]
     _report(pairs, out_path)
     return 0
 
@@ -296,8 +273,13 @@ def cmd_attack(cfg: ExperimentConfig, args) -> int:
 
     if args.kind == "repudiate":
         target = args.target if args.target is not None else adversary.optimal_repudiation_target(params)
-        strategy = adversary.RepudiationStrategy(target)
-        freq = adversary.repudiation_frequency(strategy, params, runs, rng)
+        floor = security.decompose(governing).p_honest
+        if not floor <= target <= 1.0:
+            raise UsageError(
+                f"target mismatch probability {target} is not achievable; "
+                f"the channel noise floor is {floor}"
+            )
+        freq = adversary.repudiation_frequency(adversary.RepudiationStrategy(target), params, runs, rng)
         pairs = [
             ("kind", args.kind),
             ("runs", runs),
@@ -326,20 +308,7 @@ def cmd_attack(cfg: ExperimentConfig, args) -> int:
     else:  # forge_active_bound
         scale = _amplitude_scale(args, cfg.alpha_sq, math.sqrt(1.5))
         budget = adversary.active_forge_budget(params, governing, scale)
-        pairs = [
-            ("kind", args.kind),
-            ("length", params.length),
-            ("amplitude_scale", budget.amplitude_scale),
-            ("scaled_min_error", budget.scaled_min_error),
-            ("c_prime_min", budget.c_prime_min),
-            ("tampering_allowance", budget.tampering_allowance),
-            ("effective_threshold", budget.effective_threshold),
-            ("margin", budget.margin),
-            ("hoeffding_term", budget.hoeffding_term),
-            ("epsilon_term", budget.epsilon_term),
-            ("bound", budget.bound),
-            ("vacuous", budget.vacuous),
-        ]
+        pairs = [("kind", args.kind), ("length", params.length), *_fields(budget)]
     _report(pairs, args.out)
     return 0
 

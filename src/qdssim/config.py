@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from . import detection, discrimination, security
+from . import detection, security
 from .detection import DetectorModel
 from .optics import db_to_transmittance
 from .protocol import ChannelModel, ProtocolParams
@@ -64,6 +64,7 @@ class ExperimentConfig:
             ("epsilon", self.epsilon >= 0),
             ("security_level", 0.0 < self.security_level < 1.0),
             ("sweep_grid", len(self.sweep_grid) > 0 and all(x >= 0 for x in self.sweep_grid)),
+            ("seed", self.seed >= 0),
             ("trials", self.trials >= 0),
         ]
         for name, ok in checks:
@@ -113,7 +114,7 @@ class ExperimentConfig:
         return detection.phase_click_matrix(self.receiver_intensity(), self.detector())
 
     def resolve_thresholds(self, cost_matrix=None) -> tuple[float, float]:
-        """Configured thresholds, or equalizing ones derived from a matrix.
+        """Configured thresholds, or the equalizing ones ``security.analyze`` places.
 
         Derivation uses ``cost_matrix`` when given (a measured matrix
         should govern the thresholds it will be tested against), else the
@@ -123,11 +124,8 @@ class ExperimentConfig:
             return self.auth_threshold, self.verify_threshold
         if cost_matrix is None:
             cost_matrix = self.analytic_click_matrix()
-        dec = security.decompose(cost_matrix)
-        bounds = security.bound_min_cost(
-            dec, discrimination.min_error_probability(self.alpha_sq)
-        )
-        return security.choose_thresholds(dec.p_honest, bounds.g_lower)
+        report = security.analyze(cost_matrix, self.alpha_sq, self.security_level)
+        return report.auth_threshold, report.verify_threshold
 
     def protocol_params(self, cost_matrix=None) -> ProtocolParams:
         s_a, s_v = self.resolve_thresholds(cost_matrix)

@@ -211,16 +211,13 @@ def reference_cost_matrix() -> CostMatrix:
 class Decomposition:
     """Split of a cost matrix into honest baseline and forger excess.
 
-    ``baseline`` is constant along each row at the row's diagonal value;
-    ``excess`` is what remains; ``uniform_floor`` keeps only the smallest
-    off-diagonal excess, uniformly. ``p_honest`` is the mean diagonal and
-    ``guaranteed_advantage`` that smallest excess (may be <= 0, in which
-    case no security is provable from this matrix).
+    ``excess`` is each entry less its row's diagonal value, the honest
+    baseline. ``p_honest`` is the mean diagonal and
+    ``guaranteed_advantage`` the smallest off-diagonal excess (may be
+    <= 0, in which case no security is provable from this matrix).
     """
 
-    baseline: np.ndarray
     excess: np.ndarray
-    uniform_floor: np.ndarray
     p_honest: float
     guaranteed_advantage: float
 
@@ -228,18 +225,13 @@ class Decomposition:
 def decompose(matrix) -> Decomposition:
     """Decompose a cost matrix (CostMatrix or 4x4 array) for bounding."""
     entries = cost_entries(matrix)
-    diag = np.diag(entries).copy()
-    baseline = np.repeat(diag[:, None], N_PHASES, axis=1)
-    excess = entries - baseline
+    diag = np.diag(entries)
+    excess = entries - diag[:, None]
     off = ~np.eye(N_PHASES, dtype=bool)
-    advantage = float(excess[off].min())
-    floor = np.where(off, advantage, 0.0)
     return Decomposition(
-        baseline=baseline,
         excess=excess,
-        uniform_floor=floor,
         p_honest=float(diag.mean()),
-        guaranteed_advantage=advantage,
+        guaranteed_advantage=float(excess[off].min()),
     )
 
 
@@ -275,14 +267,13 @@ def bound_min_cost(dec: Decomposition, min_error: float) -> CostBounds:
 
 # ------------------------------------------------------------------ bounds
 
-def hoeffding(deviation: float, length: int, two_sided: bool = False) -> float:
-    """Large-deviation bound exp(-2 t^2 L) for a mean of L bounded terms."""
+def hoeffding(deviation: float, length: int) -> float:
+    """One-sided large-deviation bound exp(-2 t^2 L) for a mean of L bounded terms."""
     if deviation < 0:
         raise ValueError(f"deviation must be >= 0, got {deviation}")
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
-    b = math.exp(-2.0 * deviation * deviation * length)
-    return 2.0 * b if two_sided else b
+    return math.exp(-2.0 * deviation * deviation * length)
 
 
 def choose_thresholds(p_honest: float, gap: float) -> tuple[float, float]:

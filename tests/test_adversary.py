@@ -39,14 +39,14 @@ def make_params(**overrides):
 # ------------------------------------------------------------------ repudiation
 
 def test_repudiation_target_must_be_reachable():
+    # a target is a probability; the channel's noise floor depends on which
+    # matrix governs the run, so the CLI checks it against that matrix
+    for target in (-1e-9, 1.1, math.nan):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            RepudiationStrategy(target)
     params = make_params()
-    floor = params.honest_mismatch_prob()
-    with pytest.raises(ValueError, match="not achievable"):
-        repudiation_frequency(
-            RepudiationStrategy(floor / 2), params, 10, np.random.default_rng(0)
-        )
-    with pytest.raises(ValueError):
-        repudiation_frequency(RepudiationStrategy(1.1), params, 10, np.random.default_rng(0))
+    below_floor = RepudiationStrategy(params.honest_mismatch_prob() / 2)
+    assert repudiation_frequency(below_floor, params, 10, np.random.default_rng(0)) == 0.0
 
 
 def test_repudiation_frequency_deterministic():
@@ -135,8 +135,6 @@ def test_intermediate_phase_strategy_spans_the_range():
 def test_forging_strategy_validation():
     with pytest.raises(ValueError, match="row"):
         ForgingStrategy(np.full((4, 4), 0.3))
-    with pytest.raises(ValueError):
-        ForgingStrategy(np.eye(4), amplitude_scale=0.0)
     with pytest.raises(ValueError):
         ForgingStrategy(np.eye(3))
     ForgingStrategy(np.eye(4))  # fine

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from qdssim import cli, protocol, security
+from qdssim import adversary, cli, detection, protocol, security
 
 
 def run_cli(capsys, *argv):
@@ -387,6 +388,76 @@ def test_repudiate_rejects_unreachable_target(capsys):
     )
     assert code == 1
     assert "not achievable" in err
+
+
+def test_repudiation_floor_comes_from_the_measured_matrix(capsys):
+    # the default target lies between thresholds derived from the bundled
+    # matrix, above its own floor though below the analytic channel's
+    code, out, err = run_cli(
+        capsys, "attack", "repudiate", "--preset", "paper-2014", "--cost-matrix", REF, "--trials", "50"
+    )
+    assert code == 0, err
+    rep = security.analyze(security.reference_cost_matrix(), 1.0, 1e-4)
+    target = float(parse_kv(out)["target_mismatch_prob"])
+    assert target == pytest.approx((rep.auth_threshold + rep.verify_threshold) / 2, rel=1e-11)
+
+
+def test_repudiation_target_below_the_measured_floor_names_it(capsys):
+    code, out, err = run_cli(
+        capsys, "attack", "repudiate", "--preset", "paper-2014", "--cost-matrix", REF,
+        "--target", "4.0e-5", "--trials", "1",
+    )
+    assert code == 1
+    assert out == ""
+    assert "the channel noise floor is 4.175e-05" in err
+
+
+def _record_keys(record_type):
+    return [f.name for f in dataclasses.fields(record_type)]
+
+
+def test_bounds_report_keys_are_the_security_report_fields(capsys):
+    code, out, _ = run_cli(capsys, "bounds", REF)
+    assert code == 0
+    assert list(parse_kv(out)) == _record_keys(security.SecurityReport) + ["sequence_seconds"]
+
+
+def test_active_bound_report_keys_are_the_budget_fields(capsys):
+    code, out, _ = run_cli(capsys, "attack", "forge_active_bound", "--trials", "1")
+    assert code == 0
+    assert list(parse_kv(out)) == ["kind", "length"] + _record_keys(adversary.ActiveForgeBound)
+
+
+@pytest.mark.parametrize("trials", ["0", "20"])
+def test_sweep_header_is_the_measurement_rates_fields(capsys, trials):
+    code, out, _ = run_cli(capsys, "sweep", "--trials", trials)
+    assert code == 0
+    rates = _record_keys(detection.MeasurementRates)
+    expected = ["alpha_sq"] + rates + (["mc_" + k for k in rates] if trials != "0" else [])
+    assert out.splitlines()[0].split(",") == expected
+
+
+@pytest.mark.parametrize("kind", ["forge_passive", "forge_active_bound"])
+@pytest.mark.parametrize("scale", ["0", "-1"])
+def test_attack_rejects_a_scale_that_is_not_positive(capsys, kind, scale):
+    code, out, err = run_cli(capsys, "attack", kind, f"--amplitude-scale={scale}", "--trials", "1")
+    assert code == 1
+    assert out == ""
+    assert "argument --amplitude-scale: must be > 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["simulate"], ["sweep"], ["bounds", REF], ["attack", "repudiate"]], ids=lambda a: a[0]
+)
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_a_negative_seed_names_the_field(tmp_path, capsys, argv, source):
+    cfg = tmp_path / "seed.json"
+    cfg.write_text('{"length": 1000, "seed": -1}' if source == "file" else '{"length": 1000}')
+    extra = ["--seed", "-1"] if source == "flag" else []
+    code, out, err = run_cli(capsys, *argv, "--trials", "2", "--config", str(cfg), *extra)
+    assert code == 1
+    assert out == ""
+    assert "invalid value for field 'seed': -1" in err
 
 
 @pytest.mark.parametrize("kind", ["forge_passive", "forge_active_bound"])
