@@ -113,26 +113,25 @@ class ExperimentConfig:
     def analytic_click_matrix(self):
         return detection.phase_click_matrix(self.receiver_intensity(), self.detector())
 
-    def resolve_thresholds(self, cost_matrix=None) -> tuple[float, float]:
+    def resolve_thresholds(self, cost_matrix) -> tuple[float, float]:
         """Configured thresholds, or the equalizing ones ``security.analyze`` places.
 
-        Derivation uses ``cost_matrix`` when given (a measured matrix
-        should govern the thresholds it will be tested against), else the
-        analytic click matrix.
+        A measured ``cost_matrix`` should govern the thresholds it will be
+        tested against; ``protocol_params`` passes the analytic click
+        matrix when it is given none.
         """
         if self.auth_threshold is not None:
             return self.auth_threshold, self.verify_threshold
-        if cost_matrix is None:
-            cost_matrix = self.analytic_click_matrix()
         report = security.analyze(cost_matrix, self.alpha_sq, self.security_level)
         return report.auth_threshold, report.verify_threshold
 
     def protocol_params(self, cost_matrix=None) -> ProtocolParams:
-        s_a, s_v = self.resolve_thresholds(cost_matrix)
+        governing = self.analytic_click_matrix() if cost_matrix is None else cost_matrix
+        s_a, s_v = self.resolve_thresholds(governing)
         r = self.null_abort_fraction
         if r is None:
             r = self.dark_click_prob + 2.0 * self.epsilon
-        return ProtocolParams(
+        params = ProtocolParams(
             length=self.length,
             auth_threshold=s_a,
             verify_threshold=s_v,
@@ -142,6 +141,9 @@ class ExperimentConfig:
             channel=self.channel(),
             detector=self.detector(),
         )
+        if cost_matrix is None:  # the analytic matrix params would compute from the same inputs
+            vars(params)["_click_matrix"] = governing
+        return params
 
     # -------------------------------------------------------------- (de)serialization
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .discrimination import OFFSETS
 from .optics import intensity
 
 
@@ -78,10 +79,6 @@ def visibility_adjusted_intensity(
     return (intensity(s) + intensity(r)) / 4.0 - visibility * cross / 2.0
 
 
-# (j - i) mod 4 at entry (i, j): the offset of the eliminated phase from the sent one
-_OFFSETS = (np.arange(4) - np.arange(4)[:, None]) % 4
-
-
 def phase_click_matrix(intensity_into_receiver: float, det: DetectorModel) -> np.ndarray:
     """Analytic click matrix of an honest transmission.
 
@@ -90,7 +87,7 @@ def phase_click_matrix(intensity_into_receiver: float, det: DetectorModel) -> np
     a reference matched to it. It depends only on the offset (j - i) mod 4:
     the sent phase sees only the visibility leak (1-V)/2, the opposite
     phase the full beat (1+V)/2, and the two adjacent phases half the
-    intensity regardless of visibility.
+    intensity regardless of visibility. The matrix is read-only.
     """
     if intensity_into_receiver < 0:
         raise ValueError(f"intensity must be >= 0, got {intensity_into_receiver}")
@@ -99,7 +96,9 @@ def phase_click_matrix(intensity_into_receiver: float, det: DetectorModel) -> np
         click_probability(visibility_adjusted_intensity(amp, amp, k, det.visibility), det)
         for k in range(3)
     )
-    return np.array((same, adjacent, opposite, adjacent))[_OFFSETS]
+    matrix = np.array((same, adjacent, opposite, adjacent))[OFFSETS]
+    matrix.flags.writeable = False
+    return matrix
 
 
 @dataclass(frozen=True)

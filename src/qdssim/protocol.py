@@ -144,9 +144,7 @@ class ProtocolParams:
     @functools.cached_property
     def _click_matrix(self) -> np.ndarray:
         # once per parameter set; a frozen dataclass without slots keeps a __dict__
-        matrix = detection.phase_click_matrix(self.receiver_intensity(), self.detector)
-        matrix.flags.writeable = False
-        return matrix
+        return detection.phase_click_matrix(self.receiver_intensity(), self.detector)
 
     def honest_mismatch_prob(self) -> float:
         """Probability that an element eliminates the phase actually sent."""

@@ -62,10 +62,10 @@ class CostMatrix:
         e = np.asarray(self.entries, dtype=float)
         if e.shape != (N_PHASES, N_PHASES):
             raise ValueError(f"cost matrix must be 4x4, got shape {e.shape}")
-        lo, hi = e.min(), e.max()  # a NaN or an infinity shows in the extremes
-        if not (math.isfinite(lo) and math.isfinite(hi)):
+        values = e.ravel().tolist()
+        if not all(map(math.isfinite, values)):
             raise ValueError("cost matrix entries must be finite")
-        if lo < 0.0 or hi > 1.0:
+        if min(values) < 0.0 or max(values) > 1.0:
             raise ValueError("cost matrix entries must lie in [0, 1]")
         object.__setattr__(self, "entries", e)
         if self.pulse_counts is not None:
@@ -225,14 +225,24 @@ class Decomposition:
 def decompose(matrix) -> Decomposition:
     """Decompose a cost matrix (CostMatrix or 4x4 array) for bounding."""
     entries = cost_entries(matrix)
-    diag = np.diag(entries)
-    excess = entries - diag[:, None]
-    off = ~np.eye(N_PHASES, dtype=bool)
+    excess = entries - entries.diagonal()[:, None]
+    d0, d1, d2, d3 = entries.diagonal().tolist()
     return Decomposition(
         excess=excess,
-        p_honest=float(diag.mean()),
-        guaranteed_advantage=float(excess[off].min()),
+        p_honest=(0.0 + d0 + d1 + d2 + d3) / N_PHASES,  # numpy's mean of four, in its order
+        guaranteed_advantage=_off_diagonal(excess, min),
     )
+
+
+def _off_diagonal(excess: np.ndarray, pick) -> float:
+    """``pick`` (``min`` or ``max``) of the off-diagonal entries, as numpy gives it."""
+    values = excess.ravel().tolist()
+    del values[:: N_PHASES + 1]  # the diagonal
+    extreme = pick(values)
+    if extreme == 0.0:  # numpy's order of reduction decides between 0.0 and -0.0
+        off = excess[~np.eye(N_PHASES, dtype=bool)]
+        return float(off.min() if pick is min else off.max())
+    return extreme
 
 
 @dataclass(frozen=True)
@@ -254,9 +264,8 @@ def bound_min_cost(dec: Decomposition, min_error: float) -> CostBounds:
     """Combine a decomposition with the discrimination limit ``min_error``."""
     if not 0.0 <= min_error <= 1.0:
         raise ValueError(f"min_error must lie in [0, 1], got {min_error}")
-    off = ~np.eye(N_PHASES, dtype=bool)
     g_low = min_error * dec.guaranteed_advantage
-    g_up = min_error * float(dec.excess[off].max())
+    g_up = min_error * _off_diagonal(dec.excess, max)
     return CostBounds(
         c_min_lower=dec.p_honest + g_low,
         c_min_upper=dec.p_honest + g_up,

@@ -70,7 +70,7 @@ def test_analytic_click_matrix_diagonal():
 
 def test_resolve_thresholds_equalize():
     cfg = ExperimentConfig()
-    s_a, s_v = cfg.resolve_thresholds()
+    s_a, s_v = cfg.resolve_thresholds(cfg.analytic_click_matrix())
     dec = security.decompose(cfg.analytic_click_matrix())
     g = discrimination.min_error_probability(1.0) * dec.guaranteed_advantage
     assert s_a == pytest.approx(dec.p_honest + g / 4, rel=1e-12)
@@ -79,7 +79,7 @@ def test_resolve_thresholds_equalize():
 
 def test_resolve_thresholds_explicit_pair_wins():
     cfg = ExperimentConfig(auth_threshold=0.1, verify_threshold=0.2)
-    assert cfg.resolve_thresholds() == (0.1, 0.2)
+    assert cfg.resolve_thresholds(cfg.analytic_click_matrix()) == (0.1, 0.2)
 
 
 def test_resolve_thresholds_uses_given_matrix():

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from qdssim import detection
 from qdssim import discrimination as disc
 
 
@@ -69,6 +70,45 @@ def test_analysis_does_not_import_numpy_fft():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_one_circulant_offset_table():
+    expected = [[(j - i) % 4 for j in range(4)] for i in range(4)]
+    assert disc.OFFSETS.tolist() == expected
+    assert detection.OFFSETS is disc.OFFSETS
+
+
+def test_min_error_cache_is_bit_identical_to_the_uncached_function():
+    disc._min_error.cache_clear()
+    uncached = disc._min_error.__wrapped__
+    grid = [*np.linspace(0.0, 40.0, 801).tolist(), *((i + 2) / 10 for i in range(50))]
+    for a2 in grid:
+        got = disc.min_error_probability(a2)
+        want = uncached(a2)
+        assert type(got) is type(want) and got.hex() == want.hex(), a2
+        assert disc.min_error_probability(a2).hex() == want.hex()  # a hit, same bits
+    # an int and the numpy floats share the entry of their value, with its bits
+    want = uncached(1.0).hex()
+    for a2 in (1, 1.0, np.float64(1.0), np.float32(1.0), np.int64(1)):
+        assert uncached(a2).hex() == want
+        assert disc.min_error_probability(a2).hex() == want
+    disc._min_error.cache_clear()
+    assert disc.min_error_probability(3).hex() == uncached(3.0).hex()
+    assert disc.min_error_probability(3.0).hex() == uncached(3.0).hex()
+
+
+def test_min_error_cache_is_bounded_and_keeps_no_errors():
+    info = disc._min_error.cache_info()
+    assert info.maxsize is not None and 0 < info.maxsize <= 1024
+    for _ in range(3):  # raises on every call, not only the first
+        with pytest.raises(ValueError, match="alpha_sq must be >= 0"):
+            disc.min_error_probability(-1.0)
+        with pytest.raises(ValueError, match="alpha_sq must be >= 0"):
+            disc.min_error_probability(-5e-324)
+    disc._min_error.cache_clear()
+    for k in range(3 * info.maxsize):
+        disc.min_error_probability(k / 100)
+    assert disc._min_error.cache_info().currsize == info.maxsize
 
 
 def test_srm_outcomes_row_stochastic_and_symmetric():

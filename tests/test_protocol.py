@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qdssim import detection, protocol, security
+from qdssim.config import preset
 from qdssim.detection import DetectorModel
 from qdssim.protocol import (
     ChannelModel,
@@ -456,6 +458,29 @@ def test_click_matrix_is_computed_once_per_params(monkeypatch):
     assert np.array_equal(params.click_matrix(), real(params.receiver_intensity(), params.detector))
     with pytest.raises(ValueError):
         params.click_matrix()[0, 0] = 0.5
+
+    # a config derives its thresholds from the analytic matrix and hands that matrix on
+    calls.clear()
+    cfg = preset("paper-2014")
+    configured = cfg.protocol_params()
+    assert configured.click_matrix() is configured.click_matrix()
+    assert len(calls) == 1
+    analytic = real(cfg.receiver_intensity(), cfg.detector())
+    report = security.analyze(analytic, cfg.alpha_sq, cfg.security_level)
+    assert (configured.auth_threshold, configured.verify_threshold) == (
+        report.auth_threshold, report.verify_threshold,
+    )
+    rebuilt = ProtocolParams(**{f.name: getattr(configured, f.name) for f in dataclasses.fields(configured)})
+    assert configured.click_matrix().tobytes() == rebuilt.click_matrix().tobytes()
+    with pytest.raises(ValueError):
+        configured.click_matrix()[0, 0] = 0.5
+
+    # thresholds from a measured matrix need no analytic one until it is asked for
+    calls.clear()
+    measured = cfg.protocol_params(security.reference_cost_matrix())
+    assert len(calls) == 0
+    assert measured.click_matrix().tobytes() == rebuilt.click_matrix().tobytes()
+    assert len(calls) == 1
 
 
 def test_distribute_ideal_optics_never_eliminates_sent_phase():

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from qdssim import protocol, security
+from qdssim import detection, discrimination, protocol, security
 from qdssim.config import preset
 from qdssim.security import (
     CostMatrix,
@@ -42,6 +45,33 @@ def test_cost_matrix_validation():
     m = CostMatrix(np.full((4, 4), 0.25), pulse_counts=[10, 10, 10, 10])
     assert m.standard_errors().shape == (4, 4)
     assert m.standard_errors()[0, 0] == pytest.approx(math.sqrt(0.25 * 0.75 / 10))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("pos", range(16))
+def test_cost_matrix_rejects_a_non_finite_entry_anywhere(pos, bad):
+    entries = np.full(16, 0.25)
+    entries[pos] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        CostMatrix(entries.reshape(4, 4))
+    # the finiteness check comes first, whatever else is wrong
+    entries[(pos + 5) % 16] = -0.5
+    with pytest.raises(ValueError, match="must be finite"):
+        CostMatrix(entries.reshape(4, 4))
+
+
+@pytest.mark.parametrize("bad", [-5e-324, -1e-12, 1.0 + 2**-52, 7.0])
+@pytest.mark.parametrize("pos", range(16))
+def test_cost_matrix_rejects_an_entry_outside_the_unit_interval(pos, bad):
+    entries = np.full(16, 0.25)
+    entries[pos] = bad
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        CostMatrix(entries.reshape(4, 4))
+
+
+def test_cost_matrix_accepts_the_closed_unit_interval():
+    entries = np.array([0.0, -0.0, 1.0, 5e-324] * 4).reshape(4, 4)
+    assert CostMatrix(entries).entries.tobytes() == entries.tobytes()
 
 
 def test_standard_errors_need_counts():
@@ -455,3 +485,109 @@ def test_simulated_runs_sit_within_a_decade_of_the_measured_matrix():
     adjacent = float(est.entries[(idx == 1) | (idx == 3)].mean())
     opposite = float(est.entries[idx == 2].mean())
     assert sim_diag < adjacent < opposite
+
+
+# ------------------------------------------------------------------ numpy oracle
+# The bookkeeping over the 16 entries runs on Python floats; this is the
+# numpy form it replaced, kept as the oracle for its bits.
+
+_OFF = ~np.eye(4, dtype=bool)
+
+
+def _numpy_decompose(entries):
+    diag = np.diag(entries)
+    excess = entries - diag[:, None]
+    return excess, float(diag.mean()), float(excess[_OFF].min())
+
+
+def _numpy_bounds(excess, p_honest, advantage, min_error):
+    g_low = min_error * advantage
+    g_up = min_error * float(excess[_OFF].max())
+    return security.CostBounds(p_honest + g_low, p_honest + g_up, g_low, g_up)
+
+
+def _numpy_analyze(entries, alpha_sq, level):
+    excess, p_honest, advantage = _numpy_decompose(entries)
+    if advantage <= 0:
+        raise NoProvableSecurityError(
+            f"smallest off-diagonal excess is {advantage}; no provable security from this matrix"
+        )
+    min_error = discrimination._min_error.__wrapped__(alpha_sq)
+    b = _numpy_bounds(excess, p_honest, advantage, min_error)
+    s_a, s_v = choose_thresholds(p_honest, b.g_lower)
+    length = required_length(b.g_lower, level)
+    return security.SecurityReport(
+        alpha_sq, level, p_honest, advantage, min_error, b.g_lower, b.g_upper,
+        b.c_min_lower, b.c_min_upper, s_a, s_v, length, math.exp(-b.g_lower**2 * length / 8.0),
+    )
+
+
+def _same_bits(got, want):
+    """Every field of two records holds the same type and the same bits."""
+    for name, value in vars(want).items():
+        other = getattr(got, name)
+        assert type(other) is type(value), name
+        if isinstance(value, np.ndarray):
+            assert other.dtype == value.dtype and other.tobytes() == value.tobytes(), name
+        elif isinstance(value, float):
+            assert other.hex() == value.hex(), name
+        else:
+            assert other == value, name
+
+
+_entry = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, 2.5e-4, 0.5]),  # ties and signed zeros
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1e-3),
+)
+_detector = st.builds(
+    detection.DetectorModel,
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1e-3),
+    st.floats(0.0, 1.0),
+)
+_matrices = st.one_of(
+    hnp.arrays(np.float64, (4, 4), elements=_entry),
+    st.just(reference_cost_matrix().entries),
+    st.builds(detection.phase_click_matrix, st.floats(0.0, 10.0), _detector),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    entries=_matrices,
+    min_error=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 0.75])),
+    alpha_sq=st.one_of(st.sampled_from([(i + 2) / 10 for i in range(50)]), st.floats(0.0, 12.0)),
+)
+def test_float_bookkeeping_is_bit_identical_to_numpy(entries, min_error, alpha_sq):
+    dec = decompose(entries)
+    excess, p_honest, advantage = _numpy_decompose(entries)
+    _same_bits(dec, security.Decomposition(excess, p_honest, advantage))
+    want = _numpy_bounds(excess, p_honest, advantage, min_error)
+    _same_bits(bound_min_cost(dec, min_error), want)
+    scaled = discrimination.min_error_probability(alpha_sq)  # the np.float64 analyze multiplies by
+    _same_bits(bound_min_cost(dec, scaled), _numpy_bounds(excess, p_honest, advantage, scaled))
+    try:
+        want = _numpy_analyze(entries, alpha_sq, 1e-4)
+    except NoProvableSecurityError as exc:
+        with pytest.raises(NoProvableSecurityError) as got:
+            analyze(entries, alpha_sq, 1e-4)
+        assert str(got.value) == str(exc)
+    else:
+        _same_bits(analyze(entries, alpha_sq, 1e-4), want)
+
+
+def test_signed_zero_excess_follows_numpy():
+    # -0.0 off the diagonal against +0.0 on it leaves a -0.0 excess; which
+    # zero is smallest or largest is numpy's choice, and the message shows it
+    for signs in range(1 << 4):
+        entries = np.zeros((4, 4))
+        for k, (i, j) in enumerate([(0, 1), (1, 3), (2, 0), (3, 2)]):
+            if signs >> k & 1:
+                entries[i, j] = -0.0
+        dec = decompose(entries)
+        excess, p_honest, advantage = _numpy_decompose(entries)
+        _same_bits(dec, security.Decomposition(excess, p_honest, advantage))
+        _same_bits(bound_min_cost(dec, 0.5), _numpy_bounds(excess, p_honest, advantage, 0.5))
+        with pytest.raises(NoProvableSecurityError, match=f"excess is {advantage};"):
+            analyze(entries, 1.0, 1e-4)
