@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import detection, discrimination, optics, security
+from . import discrimination, security
 from .protocol import ACCEPT, N_PHASES, REJECT, ProtocolParams, decide
 
 
@@ -91,30 +91,6 @@ def optimal_repudiation_target(params: ProtocolParams) -> float:
     return (params.auth_threshold + params.verify_threshold) / 2.0
 
 
-def intermediate_phase_strategy(
-    params: ProtocolParams, phase_angle: float, declared_phase: int = 0
-) -> RepudiationStrategy:
-    """Optical instantiation: launch a constellation-offset phase.
-
-    Sending identical copies of amplitude sqrt(I) * exp(i*phase_angle) and
-    later declaring ``declared_phase`` gives each recipient the mismatch
-    probability of that detector, anywhere between the honest floor (angle
-    on the declared phase) and the opposite-phase maximum (angle off by
-    pi). This realizes any target in that range with honest-looking nulls.
-    """
-    if declared_phase not in (0, 1, 2, 3):
-        raise ValueError(f"declared phase must be in 0..3, got {declared_phase}")
-    amp = math.sqrt(params.receiver_intensity())
-    signal = amp * complex(math.cos(phase_angle), math.sin(phase_angle))
-    target = detection.click_probability(
-        detection.visibility_adjusted_intensity(
-            signal, amp, declared_phase, params.detector.visibility
-        ),
-        params.detector,
-    )
-    return RepudiationStrategy(target)
-
-
 # ------------------------------------------------------------------ forging
 
 @dataclass(frozen=True)
@@ -147,11 +123,6 @@ def srm_forging_strategy(alpha_sq: float, amplitude_scale: float = 1.0) -> Forgi
     """
     g = discrimination.gram_matrix(alpha_sq * amplitude_scale**2)
     return ForgingStrategy(discrimination.srm_outcomes(g))
-
-
-def uniform_forging_strategy() -> ForgingStrategy:
-    """Forger who ignores his measurement and guesses uniformly."""
-    return ForgingStrategy(np.full((N_PHASES, N_PHASES), 0.25))
 
 
 def expected_forge_cost(
@@ -254,21 +225,3 @@ def active_forge_budget(
         bound=bound,
         vacuous=bound >= 1.0,
     )
-
-
-def tamper_null_click_probs(params: ProtocolParams, substituted_amplitude: complex) -> np.ndarray:
-    """Null-monitor click probability per sent phase if one arm is swapped.
-
-    A tamperer replacing the second recipient's multiport input with a
-    fixed amplitude breaks the honest cancellation: the multiport's null
-    port carries (honest - substituted)/2, attenuated by the multiport
-    transmittance. Returned per honest phase index; compare with the dark
-    rate to see the alarm the tamperer trips.
-    """
-    amp = math.sqrt(params.alpha_sq)
-    t = params.channel.multiport_transmittance
-    probs = np.empty(N_PHASES)
-    for k in range(N_PHASES):
-        null = optics.multiport(amp * (1j**k), substituted_amplitude).bob_null
-        probs[k] = detection.click_probability(optics.intensity(null) * t, params.detector)
-    return probs

@@ -158,6 +158,28 @@ def build_parser() -> _Parser:
 
 # ------------------------------------------------------------------ sweep
 
+def _sampled_rates(probs, trials: int, rng: np.random.Generator) -> detection.MeasurementRates:
+    """Receiver rates over ``trials`` pulses whose detectors click
+    independently with ``probs``, the sent phase's first, drawn as one
+    multinomial over five disjoint cells: that detector silent with none,
+    some or all others clicking, or clicking with not all or all of them.
+    The draw's last cell takes what rounding leaves, so it is the one
+    whose probability is itself a remainder.
+    """
+    c = probs[0]
+    none = float(np.prod(1.0 - probs[1:]))
+    every = float(np.prod(probs[1:]))
+    some = max(0.0, 1.0 - none - every)
+    cells = [(1.0 - c) * none, (1.0 - c) * every, c * (1.0 - every), c * every, (1.0 - c) * some]
+    _, silent_all, clicked_not_all, clicked_all, silent_some = rng.multinomial(trials, cells)
+    return detection.MeasurementRates(
+        elimination_success=int(silent_some + silent_all) / trials,
+        elimination_error=int(clicked_not_all + clicked_all) / trials,
+        full_identification=int(silent_all) / trials,
+        identification_error=int(clicked_all) / trials,
+    )
+
+
 def cmd_sweep(cfg: ExperimentConfig, out_path) -> int:
     det = cfg.detector()
     streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.sweep_grid))
@@ -167,16 +189,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_path) -> int:
         pairs = [("alpha_sq", a2), *_fields(detection.measurement_rates(i_rx, det))]
         if cfg.trials > 0:
             rng = np.random.default_rng(ss)
-            probs = detection.phase_click_matrix(i_rx, det)[0]  # phase 0 sent
-            clicks = rng.random((cfg.trials, 4)) < probs
-            err_click = clicks[:, 0]  # detector that rules out the sent state
-            others = clicks[:, 1:]
-            mc = detection.MeasurementRates(
-                elimination_success=float((~err_click & others.any(axis=1)).mean()),
-                elimination_error=float(err_click.mean()),
-                full_identification=float((~err_click & others.all(axis=1)).mean()),
-                identification_error=float((err_click & others.all(axis=1)).mean()),
-            )
+            mc = _sampled_rates(detection.phase_click_matrix(i_rx, det)[0], cfg.trials, rng)
             pairs += [("mc_" + k, v) for k, v in _fields(mc)]
         rows.append(pairs)
     _write_csv(out_path, [k for k, _ in rows[0]], [[v for _, v in row] for row in rows])

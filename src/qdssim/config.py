@@ -65,7 +65,7 @@ class ExperimentConfig:
             ("security_level", 0.0 < self.security_level < 1.0),
             ("sweep_grid", len(self.sweep_grid) > 0 and all(x >= 0 for x in self.sweep_grid)),
             ("seed", self.seed >= 0),
-            ("trials", self.trials >= 0),
+            ("trials", 0 <= self.trials < 2**63),
         ]
         for name, ok in checks:
             if not ok:

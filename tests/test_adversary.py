@@ -4,20 +4,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qdssim import adversary, discrimination, security
+from qdssim import adversary, detection, discrimination, optics, security
 from qdssim.adversary import (
     ForgingStrategy,
     RepudiationStrategy,
     active_forge_budget,
     expected_forge_cost,
     forge_campaign,
-    intermediate_phase_strategy,
     optimal_repudiation_target,
     repudiation_bound,
     repudiation_frequency,
     srm_forging_strategy,
-    tamper_null_click_probs,
-    uniform_forging_strategy,
 )
 from qdssim.detection import DetectorModel
 from qdssim.protocol import ACCEPT, UNIFORM_PHASES, ChannelModel, ProtocolParams, decide
@@ -113,23 +110,6 @@ def test_midpoint_target_beats_off_midpoint():
     assert freqs[0.5] > freqs[0.55]
 
 
-def test_intermediate_phase_strategy_spans_the_range():
-    params = make_params()
-    floor = params.honest_mismatch_prob()
-    on_phase = intermediate_phase_strategy(params, 0.0, declared_phase=0)
-    assert on_phase.target_mismatch_prob == pytest.approx(
-        params.click_matrix()[0, 0], rel=1e-9
-    )
-    opposite = intermediate_phase_strategy(params, math.pi, declared_phase=0)
-    assert opposite.target_mismatch_prob == pytest.approx(
-        params.click_matrix()[2, 0], rel=1e-9
-    )
-    halfway = intermediate_phase_strategy(params, math.pi / 2, declared_phase=0)
-    assert floor < halfway.target_mismatch_prob < opposite.target_mismatch_prob
-    with pytest.raises(ValueError):
-        intermediate_phase_strategy(params, 0.0, declared_phase=5)
-
-
 # ------------------------------------------------------------------ forging
 
 def test_forging_strategy_validation():
@@ -164,7 +144,7 @@ def test_expected_cost_orderings():
     perfect = expected_forge_cost(ForgingStrategy(np.eye(4)), params, C)
     assert perfect == pytest.approx(dec.p_honest, rel=1e-12)
     srm_cost = expected_forge_cost(srm_forging_strategy(1.0), params, C)
-    uni_cost = expected_forge_cost(uniform_forging_strategy(), params, C)
+    uni_cost = expected_forge_cost(ForgingStrategy(np.full((4, 4), 0.25)), params, C)
     assert srm_cost == pytest.approx(5.089874891926661e-5, rel=1e-9)
     assert uni_cost == pytest.approx(float(C.entries.mean()), rel=1e-12)
     assert perfect < srm_cost < uni_cost
@@ -174,7 +154,7 @@ def test_expected_cost_orderings():
 
 def test_forge_campaign_deterministic():
     params = make_params(length=500)
-    s = uniform_forging_strategy()
+    s = ForgingStrategy(np.full((4, 4), 0.25))
     a = forge_campaign(s, params, 200, np.random.default_rng(2))
     b = forge_campaign(s, params, 200, np.random.default_rng(2))
     assert a == b
@@ -280,7 +260,7 @@ def test_forge_campaign_with_override_matrix():
     C = np.full((4, 4), 0.9)  # every declaration almost surely mismatches
     np.fill_diagonal(C, 0.9)
     freq, mean_fraction = forge_campaign(
-        uniform_forging_strategy(), params, 500, np.random.default_rng(5), C
+        ForgingStrategy(np.full((4, 4), 0.25)), params, 500, np.random.default_rng(5), C
     )
     assert freq == 0.0
     assert mean_fraction == pytest.approx(0.9, abs=0.01)
@@ -291,7 +271,7 @@ def test_forge_success_frequency_against_threshold():
     params = make_params(length=400, auth_threshold=0.1, verify_threshold=0.3)
     C = np.full((4, 4), 0.25)
     freq, _ = forge_campaign(
-        uniform_forging_strategy(), params, 2000, np.random.default_rng(6), C
+        ForgingStrategy(np.full((4, 4), 0.25)), params, 2000, np.random.default_rng(6), C
     )
     assert freq > 0.9  # mean fraction 0.25, threshold 0.3, sd ~ 0.022
 
@@ -383,18 +363,33 @@ def test_active_budget_degenerate_limit_matches_passive_bound():
     assert budget.vacuous
 
 
+def tampered_null_click_probs(params, substitute):
+    """Null-monitor click probability per sent phase when a tamperer swaps
+    the second recipient's multiport input for a fixed amplitude, through
+    the multiport, its transmittance and the threshold detector."""
+    amp = math.sqrt(params.alpha_sq)
+    t = params.channel.multiport_transmittance
+    return np.array([
+        detection.click_probability(
+            optics.intensity(optics.multiport(amp * 1j**k, substitute).bob_null) * t, params.detector
+        )
+        for k in range(4)
+    ])
+
+
 def test_tamper_null_clicks_silent_for_matching_amplitude():
     params = make_params(
         alpha_sq=1.0,
         detector=DetectorModel(efficiency=1.0, dark_click_prob=1e-5),
     )
-    probs = tamper_null_click_probs(params, 1.0)  # matches phase 0 exactly
-    assert probs[0] == pytest.approx(1e-5, rel=1e-9)  # dark counts only
-    assert probs[2] > 0.5  # opposite phase lights the monitor
+    for k in range(4):
+        probs = tampered_null_click_probs(params, 1j**k)  # matches phase k exactly
+        assert probs[k] == pytest.approx(1e-5, rel=1e-9)  # dark counts only
+        assert probs[(k + 2) % 4] > 0.5  # opposite phase lights the monitor
     # swapping in vacuum still leaks (honest - 0)/2
-    vac = tamper_null_click_probs(params, 0.0)
+    vac = tampered_null_click_probs(params, 0.0)
     expected = 1 - (1 - 1e-5) * math.exp(-0.25)
-    assert vac[0] == pytest.approx(expected, rel=1e-9)
+    np.testing.assert_allclose(vac, expected, rtol=1e-9, atol=0)
 
 
 def test_tamper_null_clicks_through_the_multiport_match_the_null_formula():
@@ -415,7 +410,7 @@ def test_tamper_null_clicks_through_the_multiport_match_the_null_formula():
             * math.exp(-params.detector.efficiency * abs(amp * 1j**k - sub) ** 2 / 4.0 * t)
             for k in range(4)
         ]
-        np.testing.assert_allclose(tamper_null_click_probs(params, sub), expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(tampered_null_click_probs(params, sub), expected, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("campaign", ["repudiation", "forge"])
@@ -431,7 +426,7 @@ def test_campaigns_need_at_least_one_run(campaign, runs):
         if campaign == "repudiation":
             repudiation_frequency(RepudiationStrategy(0.5), params, runs, NoDraws())
         else:
-            forge_campaign(uniform_forging_strategy(), params, runs, NoDraws())
+            forge_campaign(ForgingStrategy(np.full((4, 4), 0.25)), params, runs, NoDraws())
 
 
 def test_omniscient_forger_pays_only_the_honest_rate():
@@ -475,7 +470,7 @@ def test_uniform_guessing_tracks_the_matrix_mean():
     runs = 300
     expected = float(C.entries.mean())
     _, mean_fraction = forge_campaign(
-        uniform_forging_strategy(), params, runs, np.random.default_rng(23), C
+        ForgingStrategy(np.full((4, 4), 0.25)), params, runs, np.random.default_rng(23), C
     )
     sigma = math.sqrt(expected / (params.length * runs))
     assert abs(mean_fraction - expected) < 4 * sigma

@@ -1,12 +1,14 @@
 import dataclasses
+import itertools
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from qdssim import adversary, cli, detection, protocol, security
+from qdssim import adversary, cli, config, detection, protocol, security
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +101,78 @@ def test_sweep_writes_csv(tmp_path, capsys):
     lines = out_file.read_text().splitlines()
     assert lines[0].startswith("alpha_sq,")
     assert len(lines) == 12
+
+
+def dense_sweep_rates(probs, trials, rng):
+    """The per-pulse form of the sweep's Monte Carlo: four independent
+    detectors per pulse, the first ruling out the sent phase."""
+    clicks = rng.random((trials, 4)) < probs
+    err_click, others = clicks[:, 0], clicks[:, 1:]
+    return [
+        (~err_click & others.any(axis=1)).mean(),
+        err_click.mean(),
+        (~err_click & others.all(axis=1)).mean(),
+        (err_click & others.all(axis=1)).mean(),
+    ]
+
+
+def sweep_cells(rates, trials):
+    """Per-row counts of the five disjoint cells, from the four mc_ rates:
+    sent-phase detector silent with none, some or all others clicking,
+    or clicking with not all or all of them."""
+    success, error, full, ident_error = np.rint(np.asarray(rates) * trials).astype(np.int64).T
+    return np.stack([trials - success - error, success - full, full, error - ident_error, ident_error], axis=1)
+
+
+def test_sweep_matches_the_dense_per_pulse_form_in_law(tmp_path, capsys):
+    replicates, trials = 400, 50
+    cfg_file = tmp_path / "c.json"
+    settings = {"sweep_grid": [2.0] * replicates, "detection_visibility": 0.5}
+    cfg_file.write_text(json.dumps(settings))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_file), "--trials", str(trials))
+    assert code == 0, err
+    swept = sweep_cells([[float(x) for x in row.split(",")[5:]] for row in out.splitlines()[1:]], trials)
+
+    cfg = config.config_from_dict(settings)
+    probs = detection.phase_click_matrix(cfg.receiver_intensity(2.0), cfg.detector())[0]
+    rng = np.random.default_rng(8)
+    dense = sweep_cells([dense_sweep_rates(probs, trials, rng) for _ in range(replicates)], trials)
+
+    # exact cell law, by enumerating the 16 click patterns
+    law = np.zeros(5)
+    for pattern in itertools.product((False, True), repeat=4):
+        weight = np.prod(np.where(pattern, probs, 1.0 - probs))
+        others = sum(pattern[1:])
+        law[3 + (others == 3) if pattern[0] else min(others, 1) + (others == 3)] += weight
+    assert law.min() > 0.01  # every cell is exercised
+
+    n = replicates * trials
+    for counts in (swept, dense):
+        assert counts.shape == (replicates, 5) and (counts >= 0).all()
+        assert (counts.sum(axis=1) == trials).all()
+        var = trials * law * (1 - law)
+        assert np.all(np.abs(counts.sum(axis=0) - n * law) < 5 * np.sqrt(replicates * var))
+        # per-replicate spread: the variance of a sample variance is about 2 var^2 / replicates
+        assert np.all(np.abs(counts.var(axis=0, ddof=1) - var) < 5 * var * math.sqrt(2 / replicates))
+    assert np.all(np.abs(swept.sum(axis=0) - dense.sum(axis=0)) < 5 * np.sqrt(2 * n * law * (1 - law)))
+
+
+@pytest.mark.parametrize("trials", [10**12, 2**63 - 1])
+def test_sweep_takes_any_trial_count_below_2_63(tmp_path, capsys, trials):
+    # the counts are drawn at once, so memory and time do not grow with trials
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"sweep_grid": [0.0, 1.0, 5.0]}))
+    for preset in ("ideal", "paper-2014"):
+        code, out, err = run_cli(
+            capsys, "sweep", "--preset", preset, "--config", str(cfg_file), "--trials", str(trials)
+        )
+        assert code == 0, err
+        for row in out.splitlines()[1:]:
+            values = [float(x) for x in row.split(",")]
+            for p, mc in zip(values[1:5], values[5:9]):
+                assert abs(mc - p) <= 5 * math.sqrt(p * (1 - p) / trials) + 1 / trials
+                if p == 0:  # an impossible outcome never appears
+                    assert mc == 0
 
 
 def test_bounds_matches_library_pipeline(capsys):
@@ -320,6 +394,7 @@ def test_bad_config_file(tmp_path, capsys):
         ('{"seed": NaN}', "'seed'"),
         ('{"trials": -Infinity}', "'trials'"),
         ('{"trials": true}', "'trials'"),
+        ('{"trials": 9223372036854775808}', "'trials'"),
         ('{"alpha_sq": false}', "'alpha_sq'"),
         ('{"auth_threshold": false, "verify_threshold": 0.2}', "'auth_threshold'"),
         ('{"sweep_grid": [1.0, true]}', "'sweep_grid'"),
@@ -374,12 +449,13 @@ def test_usage_error_exit_code(capsys):
 
 def test_console_script_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "qdssim.cli", "sweep", "--trials", "0"],
+        [sys.executable, "-m", "qdssim", "sweep", "--trials", "0"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("alpha_sq,")
+    assert proc.stderr == ""
 
 
 def test_repudiate_rejects_unreachable_target(capsys):

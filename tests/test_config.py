@@ -26,6 +26,9 @@ def test_field_validation_names_the_field():
     with pytest.raises(ConfigError, match="length"):
         ExperimentConfig(length=2**63)  # beyond numpy's int64 counts
     assert ExperimentConfig(length=2**63 - 1).length == 2**63 - 1
+    with pytest.raises(ConfigError, match="'trials'"):
+        ExperimentConfig(trials=2**63)  # the sweep draws its counts as int64
+    assert ExperimentConfig(trials=2**63 - 1).trials == 2**63 - 1
     with pytest.raises(ConfigError, match="security_level"):
         ExperimentConfig(security_level=1.0)
     with pytest.raises(ConfigError, match="set together"):
