@@ -257,6 +257,18 @@ def cmd_simulate(cfg: ExperimentConfig, out_path) -> int:
         ("expected_null_count", params.null_click_prob() * params.length),
     ]
     if out_path:
+        bit = res.message_bit  # the transcripts are the last run's
+        key = res.distribution.keys[bit]
+        views = {"bob": res.distribution.bob[bit], "charlie": res.distribution.charlie[bit]}
+        try:  # expand the records, cached on the views, before any file is written
+            for view in views.values():
+                view.eliminations, view.null_clicks
+        except MemoryError:
+            size = protocol.transcript_bytes(params.length)
+            raise ConfigError(
+                f"field 'length' = {params.length} is too long for --out: the last run's records do not fit "
+                f"in memory, and each transcript would take {size} bytes; lower it or run without --out"
+            ) from None
         out_dir = Path(out_path)
         out_dir.mkdir(parents=True, exist_ok=True)
         _emit_kv(pairs, out_dir / "report.txt")
@@ -266,10 +278,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_path) -> int:
             ["run", "bob_mismatches", "charlie_mismatches", "bob_nulls", "charlie_nulls", "bob_outcome", "charlie_outcome"],
             rows,
         )
-        bit = res.message_bit  # the transcripts are the last run's
-        key = res.distribution.keys[bit]
-        protocol.write_transcript(out_dir / "transcript_bob.txt", bit, res.distribution.bob[bit], key)
-        protocol.write_transcript(out_dir / "transcript_charlie.txt", bit, res.distribution.charlie[bit], key)
+        for name, view in views.items():
+            protocol.write_transcript(out_dir / f"transcript_{name}.txt", bit, view, key)
     else:
         _emit_kv(pairs, None)
     return 0

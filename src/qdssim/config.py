@@ -70,6 +70,11 @@ class ExperimentConfig:
         for name, ok in checks:
             if not ok:
                 raise ConfigError(f"invalid value for field '{name}': {getattr(self, name)!r}")
+        if not self.dark_click_prob < 1.0:
+            raise ConfigError(
+                "fields 'dark_rate_hz' and 'gate_ns' must give a dark click probability "
+                f"dark_rate_hz * gate_ns * 1e-9 below 1, got {self.dark_click_prob!r}"
+            )
         if self.auth_threshold is not None or self.verify_threshold is not None:
             if self.auth_threshold is None or self.verify_threshold is None:
                 raise ConfigError(

@@ -199,8 +199,14 @@ class _DrawnKey(PrivateKey):
     @functools.cached_property
     def phases(self) -> np.ndarray:
         """A uniformly random arrangement of the pulse counts."""
-        symbols = np.repeat(np.arange(N_PHASES, dtype=np.int8), self.pulses)
-        return _record_stream(self.seed, 0).permutation(symbols)
+        # shuffled as intp, which numpy shuffles faster with the same draws
+        symbols = np.repeat(np.arange(N_PHASES, dtype=np.intp), self.pulses)
+        return _record_stream(self.seed, 0).permutation(symbols).astype(np.int8)
+
+    @functools.cached_property
+    def groups(self) -> list[np.ndarray]:
+        """The indices of the phase-i elements, ascending, for each phase i."""
+        return np.split(np.argsort(self.phases, kind="stable"), np.cumsum(self.pulses)[:-1])
 
 
 class _DrawnView(RecipientView):
@@ -222,10 +228,8 @@ class _DrawnView(RecipientView):
     def eliminations(self) -> np.ndarray:
         """Each (i, j) click count placed uniformly among the phase-i elements."""
         rng = _record_stream(self.key.seed, self.record)
-        phases = self.key.phases
-        elims = np.zeros((len(phases), N_PHASES), dtype=bool)
-        for i in range(N_PHASES):
-            where = np.flatnonzero(phases == i)
+        elims = np.zeros((len(self.key), N_PHASES), dtype=bool)
+        for i, where in enumerate(self.key.groups):
             for j in range(N_PHASES):
                 elims[where[rng.choice(len(where), self.clicks[i, j], replace=False)], j] = True
         return elims
@@ -374,43 +378,58 @@ def run_honest_exchange(
 
 # ------------------------------------------------------------------ transcripts
 #
-# One codec writes and checks transcript lines: each element is the line
-# "bit index e0 e1 e2 e3 null\n" in decimal digits with single spaces,
-# built as uint8 blocks of rows whose indices have the same number of digits.
+# One codec writes and checks transcript lines. Each element is the line
+# "bit index e0 e1 e2 e3 null\n" in decimal digits with single spaces, so
+# the line of an index of w digits takes 13 + w bytes, and the byte count
+# of the lines gives N and the offset of every flag. The lines are built
+# from one template per index width, with every flag at 0, in blocks of
+# one run of 10^4 indices.
 
-_LF, _SPACE, _HASH, _ZERO = 10, 32, 35, 48
-_BLOCK_ROWS = 1 << 16
-_FLAG_OFFSETS = (9, 7, 5, 3, 1)  # e0 e1 e2 e3 null, in bytes before the line feed
+_LF, _HASH, _ZERO, _ONE = 10, 35, 48, 49
+_RUN = 10**4
 _FORM = "'bit index e0 e1 e2 e3 null' in decimal digits with single spaces and a LF line end"
 
 
-def _blocks(bit: int, eliminations, null_clicks):
-    """The transcript lines of the given flags, as (rows, 13 + width) uint8 blocks.
+def _widths(n: int):
+    """(first index, end index, digits) of each index width among n elements."""
+    lo, width = 0, 1
+    while lo < n:
+        hi = min(n, 10**width)
+        yield lo, hi, width
+        lo, width = hi, width + 1
 
-    Every write is to one column at a time: numpy is several times slower
-    on strided multi-column slices of a block this narrow.
+
+def transcript_bytes(n: int) -> int:
+    """Bytes of the transcript of n elements with its key header, as ``write_transcript`` writes it."""
+    return len(b"# key \n") + n + sum((hi - lo) * (13 + width) for lo, hi, width in _widths(n))
+
+
+def _fit(nbytes: int) -> int:
+    """The most elements whose lines take at most ``nbytes`` bytes."""
+    n, width = 0, 1
+    while nbytes >= (10**width - n) * (13 + width):
+        nbytes -= (10**width - n) * (13 + width)
+        n, width = 10**width, width + 1
+    return n + nbytes // (13 + width)
+
+
+def _templates(bit: int, n: int):
+    """(first index, lines with every flag 0) of each run of 10^4 indices of
+    one width among ``n``, as a (rows, 13 + width) uint8 block. A width's
+    block holds all but the higher index digits, which each run sets, so a
+    block is valid until the next is drawn.
     """
-    L = len(null_clicks)
-    zero = np.uint8(_ZERO)  # keeps the flag additions in uint8
-    lo = 0
-    while lo < L:
-        width = len(str(lo))
-        hi = min(L, 10**width, lo + _BLOCK_ROWS)
-        block = np.empty((hi - lo, 13 + width), dtype=np.uint8)
-        block[:, 0] = _ZERO + bit
-        for col in (1, 2 + width, 4 + width, 6 + width, 8 + width, 10 + width):
-            block[:, col] = _SPACE
-        index = np.arange(lo, hi)
-        for col in range(1 + width, 1, -1):
-            tens = index // 10
-            np.add(index - 10 * tens, zero, out=block[:, col], casting="unsafe")
-            index = tens
-        for j in range(N_PHASES):
-            np.add(eliminations[lo:hi, j], zero, out=block[:, 3 + width + 2 * j], casting="unsafe")
-        np.add(null_clicks[lo:hi], zero, out=block[:, 11 + width], casting="unsafe")
-        block[:, 12 + width] = _LF
-        yield block
-        lo = hi
+    low = np.indices((10,) * 4, dtype=np.uint8).reshape(4, _RUN) + _ZERO  # digits of 0000..9999
+    for lo, end, width in _widths(n):
+        rows = min(end - lo, _RUN)
+        line = b"%d %s 0 0 0 0 0\n" % (bit, b"0" * width)
+        block = np.frombuffer(bytearray(line * rows), dtype=np.uint8).reshape(rows, 13 + width)
+        for k in range(min(width, 4)):  # one column at a time: numpy is slow on narrow strided slices
+            block[:, 1 + width - k] = low[3 - k, lo % _RUN:lo % _RUN + rows]
+        for run in range(lo, end, _RUN):
+            for col, digit in enumerate(str(run)[:-4].encode(), start=2):
+                block[:, col] = digit
+            yield run, block[:min(end, run + _RUN) - run]
 
 
 def write_transcript(path, message_bit: int, view: RecipientView, key: PrivateKey | None = None):
@@ -430,8 +449,17 @@ def write_transcript(path, message_bit: int, view: RecipientView, key: PrivateKe
     with open(path, "wb") as f:
         if key is not None:
             f.write(b"# key " + (np.asarray(key.phases, dtype=np.uint8) + _ZERO).tobytes() + b"\n")
-        for block in _blocks(message_bit, elims, nulls):
+        for run, block in _templates(message_bit, len(nulls)):
+            rows, span = block.shape
+            row, phase = np.divmod(np.flatnonzero(elims[run:run + rows]), N_PHASES)
+            ones = np.concatenate((
+                row * span + span - 10 + 2 * phase,  # e0..e3 sit 10, 8, 6, 4 bytes before the line end
+                np.flatnonzero(nulls[run:run + rows]) * span + span - 2,
+            ))
+            flat = block.reshape(-1)
+            flat[ones] = _ONE
             f.write(block)
+            flat[ones] = _ZERO
 
 
 @dataclass(frozen=True)
@@ -443,17 +471,35 @@ class Transcript:
     key_phases: np.ndarray | None = None
 
 
-def _first_difference(body: np.ndarray, blocks) -> int | None:
-    """Offset of the first byte where ``body`` and the blocks differ, or None."""
+def _decode(body: np.ndarray):
+    """Bit, flags and first faulty line of element lines in the writer's layout.
+
+    The byte count gives N. Each run of lines is compared with the
+    writer's template and passes only if every byte that differs is a 1 at
+    a flag's offset: exactly when the codec re-encodes the flags to the
+    same bytes. The faulty line is the first with another difference, N if
+    bytes follow the last whole line, or None.
+    """
+    N = _fit(len(body))
+    bit = int(body[0]) - _ZERO
+    if bit not in (0, 1):
+        return bit, None, None, 0
+    elims = np.zeros((N, N_PHASES), dtype=bool)
+    nulls = np.zeros(N, dtype=bool)
     offset = 0
-    for block in blocks:
-        want = block.reshape(-1)
-        got = body[offset:offset + want.size]
-        if not np.array_equal(got, want):
-            diff = np.flatnonzero(got != want[:len(got)])
-            return offset + (int(diff[0]) if len(diff) else len(got))
-        offset += want.size
-    return None if offset == len(body) else offset
+    for run, block in _templates(bit, N):
+        got = body[offset:offset + block.size]
+        diff = np.flatnonzero(got != block.reshape(-1))
+        row, col = np.divmod(diff, block.shape[1])
+        flag, odd = np.divmod(col - block.shape[1] + 10, 2)  # 0..3 for e0..e3, 4 for null
+        bad = (got[diff] != _ONE) | (odd == 1) | (flag < 0)
+        if bad.any():
+            return bit, elims, nulls, run + int(row[bad][0])
+        null = flag == N_PHASES
+        elims[run + row[~null], flag[~null]] = True
+        nulls[run + row[null]] = True
+        offset += block.size
+    return bit, elims, nulls, None if offset == len(body) else N
 
 
 def _diagnose(line: bytes, n: int, row: int, bit: int):
@@ -481,45 +527,41 @@ def read_transcript(path) -> Transcript:
     """Parse a transcript file in the form ``write_transcript`` writes.
 
     Empty lines and lines starting with '#' are skipped; a first line
-    '# key <digits>' holds the sent phases. The flags are read at fixed
-    offsets from each line's end, and the file is accepted only if the
-    codec re-encodes them to exactly its lines; otherwise the first line
-    that differs is parsed to name its defect.
+    '# key <digits>' holds the sent phases. The element lines are decoded
+    in the writer's layout and accepted only if the codec re-encodes their
+    flags to exactly their bytes. Only a file with other lines to skip, or
+    a fault, is split at its line feeds to decode its element lines alone
+    and parse the first that differs, naming its defect.
     """
     with open(path, "rb") as f:
         raw = f.read()
     if raw and not raw.endswith(b"\n"):
         raw += b"\n"  # a last line without its line feed
-    a = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(a == _LF)
-    starts = np.empty_like(ends)
-    starts[:1] = 0
-    starts[1:] = ends[:-1] + 1
+    first = raw[:raw.find(b"\n")]
     key_phases = None
-    if len(ends) and raw[:ends[0]].split(None, 2)[:2] == [b"#", b"key"]:
-        digits = a[6:ends[0]] - _ZERO
-        if not raw.startswith(b"# key ") or len(digits) == 0 or digits.max() > 3:
+    if first.split(None, 2)[:2] == [b"#", b"key"]:
+        digits = np.frombuffer(first, dtype=np.uint8)[6:] - _ZERO
+        if not first.startswith(b"# key ") or len(digits) == 0 or digits.max() > 3:
             raise ValueError("line 1: key header must hold one phase digit 0..3 per element")
         key_phases = digits.view(np.int8)
-    data = (ends > starts) & (a[starts] != _HASH)
-    rows = np.flatnonzero(data)
-    N = len(rows)
-    if N == 0:
-        raise ValueError("transcript has no elements")
-    s, e = starts[rows], ends[rows]
-    if rows[0] + N == len(ends):  # the data lines run unbroken to the end
-        body = a[s[0]:]
-    else:
-        body = a[np.repeat(data, ends - starts + 1)]
-    bit = int(a[s[0]]) - _ZERO
-    elims = np.empty((N, N_PHASES), dtype=bool)
-    for j in range(N_PHASES):
-        elims[:, j] = a.take(e - _FLAG_OFFSETS[j], mode="clip") == _ZERO + 1
-    nulls = a.take(e - _FLAG_OFFSETS[-1], mode="clip") == _ZERO + 1
-    pos = _first_difference(body, _blocks(bit, elims, nulls)) if bit in (0, 1) else 0
-    if pos is not None:
-        row = int(np.searchsorted(np.cumsum(e - s + 1), pos, side="right"))
-        _diagnose(raw[s[row]:e[row]], int(rows[row]) + 1, row, bit)
-    if key_phases is not None and len(key_phases) != N:
-        raise ValueError(f"key length {len(key_phases)} does not match {N} elements")
+    a = np.frombuffer(raw, dtype=np.uint8)
+    skip = len(first) + 1 if key_phases is not None else 0  # the writer's only line to skip
+    fault = 0
+    if len(a) > skip:
+        bit, elims, nulls, fault = _decode(a[skip:])
+    if fault is not None:
+        ends = np.flatnonzero(a == _LF)
+        starts = np.empty_like(ends)
+        starts[:1] = 0
+        starts[1:] = ends[:-1] + 1
+        data = (ends > starts) & (a[starts] != _HASH)
+        rows = np.flatnonzero(data)
+        if len(rows) == 0:
+            raise ValueError("transcript has no elements")
+        bit, elims, nulls, fault = _decode(a[np.repeat(data, ends - starts + 1)])
+        if fault is not None:
+            n = rows[fault]
+            _diagnose(raw[starts[n]:ends[n]], int(n) + 1, fault, bit)
+    if key_phases is not None and len(key_phases) != len(nulls):
+        raise ValueError(f"key length {len(key_phases)} does not match {len(nulls)} elements")
     return Transcript(bit, RecipientView(elims, nulls), key_phases)

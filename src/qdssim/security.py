@@ -102,8 +102,8 @@ def count_clicks(phases, eliminations) -> tuple[np.ndarray, np.ndarray]:
         )
     if len(phases) and (phases.min() < 0 or phases.max() >= N_PHASES):
         raise ValueError("phase indices must lie in 0..3")
-    rows, cols = np.nonzero(elims)
-    pairs = phases[rows] * N_PHASES + cols
+    element, phase = np.divmod(np.flatnonzero(elims), N_PHASES)
+    pairs = phases[element] * N_PHASES + phase
     clicks = np.bincount(pairs, minlength=N_PHASES * N_PHASES).reshape(N_PHASES, N_PHASES)
     return clicks, np.bincount(phases, minlength=N_PHASES)
 

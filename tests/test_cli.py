@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -293,6 +294,28 @@ def test_unwritable_out_prints_no_report(capsys, argv):
     assert "error:" in err
 
 
+def test_simulate_out_past_the_memory_of_its_records_exits_1(tmp_path):
+    """At the required length --out stops before any file, naming the field, the option and the size."""
+    L = 51042710665729
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"length": L}))
+    out_dir = tmp_path / "E"
+    # only the child's address space is capped, so that its 46 TiB of records cannot be allocated
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+        "from qdssim.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    argv = ["simulate", "--preset", "paper-2014", "--config", str(cfg), "--trials", "1", "--out", str(out_dir)]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert "'length'" in proc.stderr and "--out" in proc.stderr
+    assert f"each transcript would take {protocol.transcript_bytes(L)} bytes" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out_dir.exists()
+
+
 def test_simulate_deterministic(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"length": 2000, "trials": 3}))
@@ -402,18 +425,22 @@ def test_bad_config_file(tmp_path, capsys):
         ('{"null_abort_fraction": "0.1"}', "'null_abort_fraction'"),
         ('{"sweep_grid": ["1"]}', "'sweep_grid'"),
         ('{"alpha_sq": Infinity}', "'alpha_sq'"),
+        ('{"dark_rate_hz": 1e12}', "fields 'dark_rate_hz' and 'gate_ns'"),
+        ('{"dark_rate_hz": 5e8, "gate_ns": 2.0}', "fields 'dark_rate_hz' and 'gate_ns'"),
     ],
 )
 def test_malformed_config_names_the_field(tmp_path, capsys, text, named, preset):
     cfg = tmp_path / "bad.json"
     cfg.write_text(text)
-    argv = ["sweep", "--trials", "0", "--config", str(cfg)]
-    if preset:
-        argv += ["--preset", preset]
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 1
-    assert out == ""
-    assert named in err
+    for command in (["sweep", "--trials", "0"], ["bounds", REF], ["simulate", "--trials", "1"],
+                    ["attack", "repudiate", "--trials", "1"]):
+        argv = [*command, "--config", str(cfg)]
+        if preset:
+            argv += ["--preset", preset]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, command
+        assert out == ""
+        assert named in err
 
 
 def test_unknown_preset(capsys):

@@ -31,6 +31,11 @@ def test_field_validation_names_the_field():
     assert ExperimentConfig(trials=2**63 - 1).trials == 2**63 - 1
     with pytest.raises(ConfigError, match="security_level"):
         ExperimentConfig(security_level=1.0)
+    with pytest.raises(ConfigError, match="fields 'dark_rate_hz' and 'gate_ns'"):
+        ExperimentConfig(dark_rate_hz=1e12)  # a dark click probability of 2000 in 2 ns gates
+    with pytest.raises(ConfigError, match="fields 'dark_rate_hz' and 'gate_ns'"):
+        ExperimentConfig(dark_rate_hz=5e8, gate_ns=2.0)  # exactly 1
+    assert ExperimentConfig(dark_rate_hz=4.9e8, gate_ns=2.0).detector().dark_click_prob < 1
     with pytest.raises(ConfigError, match="set together"):
         ExperimentConfig(auth_threshold=0.1)
     with pytest.raises(ConfigError, match="auth_threshold"):

@@ -178,7 +178,7 @@ def test_drawn_records_reproduce_the_counts():
     counted = [count_mismatches(key, view) for key, view in pairs]
     assert all(len(key) == params.length for key, _ in pairs)
     # counting a pair drawn together expands no record
-    assert not any({"phases", "eliminations", "null_clicks"} & (vars(key).keys() | vars(view).keys())
+    assert not any({"phases", "groups", "eliminations", "null_clicks"} & (vars(key).keys() | vars(view).keys())
                    for key, view in pairs)
     for (key, view), mismatches in zip(pairs, counted):
         clicks, pulses = security.count_clicks(key.phases, view.eliminations)
@@ -188,6 +188,20 @@ def test_drawn_records_reproduce_the_counts():
         crafted = RecipientView(view.eliminations.copy(), view.null_clicks.copy())
         assert count_mismatches(protocol.PrivateKey(key.message_bit, key.phases.copy()), crafted) == mismatches
         assert mismatches == int(np.trace(view.clicks))
+
+
+def test_drawn_key_phases_and_groups_keep_their_stream():
+    """The phases are the int8 shuffle of the pulse counts, and the shared
+    groups are each phase's elements in ascending order."""
+    dist = distribute(make_params(length=20011), np.random.default_rng(45))
+    for key in dist.keys.values():
+        symbols = np.repeat(np.arange(4, dtype=np.int8), key.pulses)
+        expected = protocol._record_stream(key.seed, 0).permutation(symbols)
+        assert key.phases.dtype == np.int8
+        assert np.array_equal(key.phases, expected)
+        assert len(key.groups) == 4
+        for i, where in enumerate(key.groups):
+            assert np.array_equal(where, np.flatnonzero(expected == i))
 
 
 def test_drawn_records_do_not_depend_on_access_order():
@@ -370,9 +384,11 @@ def _random_view(L, seed):
     return RecipientView(flags[:, :4].copy(), flags[:, 4].copy())
 
 
-# lengths on both sides of every index-width change up to 10^5, and across
-# the 2^16-row block boundary at 10^4 + 2^16 = 75536
-@pytest.mark.parametrize("L", [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 10001, 75536, 75537, 100001])
+# lengths on both sides of every index-width change up to 10^5, and of the
+# boundaries between runs of 10^4 indices
+@pytest.mark.parametrize(
+    "L", [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 10001, 19999, 20000, 20001, 75536, 75537, 100001, 110001]
+)
 def test_writer_bytes_match_savetxt(tmp_path, L):
     view = _random_view(L, L)
     key = protocol.PrivateKey(L % 2, np.random.default_rng(L).integers(0, 4, L).astype(np.int8))
@@ -429,6 +445,83 @@ def test_read_transcript_names_the_line_not_in_the_writer_form(tmp_path, line):
     p = tmp_path / "form.txt"
     p.write_bytes(f"# key 012\n0 0 1 0 0 0 0\n{line}\n0 2 0 1 0 0 0\n".encode())
     with pytest.raises(ValueError, match="^line 3: "):
+        read_transcript(p)
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 99, 100, 9999, 10000, 10001, 99999, 100000, 123457, 10**12, 2**63 - 1])
+def test_layout_size_and_count_agree(tmp_path, n):
+    """A transcript of n elements takes transcript_bytes(n) bytes, and _fit
+    recovers n from any size of its lines short of those of n + 1."""
+    size = protocol.transcript_bytes(n) - len("# key \n") - n  # its lines alone
+    assert protocol._fit(size) == n
+    assert protocol._fit(size + 13 + len(str(n)) - 1) == n
+    assert protocol._fit(size + 13 + len(str(n))) == n + 1
+    if 0 < n < 2 * 10**5:
+        key = protocol.PrivateKey(0, np.zeros(n, dtype=np.int8))
+        write_transcript(tmp_path / "t.txt", 0, _random_view(n, n), key)
+        assert (tmp_path / "t.txt").stat().st_size == protocol.transcript_bytes(n)
+        write_transcript(tmp_path / "t.txt", 0, _random_view(n, n))
+        assert (tmp_path / "t.txt").stat().st_size == size
+
+
+def _written_lines(tmp_path, L, seed=3):
+    """The lines of a transcript the writer made, key header first, and its view and key."""
+    view = _random_view(L, seed)
+    key = protocol.PrivateKey(1, np.random.default_rng(seed).integers(0, 4, L).astype(np.int8))
+    write_transcript(tmp_path / "w.txt", 1, view, key)
+    return (tmp_path / "w.txt").read_bytes().split(b"\n")[:-1], view, key
+
+
+@pytest.mark.parametrize("element", [100, 10**4, 2 * 10**4])  # a width change, two run boundaries
+def test_read_transcript_skips_lines_at_layout_boundaries(tmp_path, element):
+    lines, view, key = _written_lines(tmp_path, 20003)
+    at = 1 + element  # the file line of the element, after the key header
+    lines[at:at] = [b"", b"# note", b"#", b""]
+    p = tmp_path / "annotated.txt"
+    p.write_bytes(b"\n".join(lines) + b"\n")
+    back = read_transcript(p)
+    assert np.array_equal(back.view.eliminations, view.eliminations)
+    assert np.array_equal(back.view.null_clicks, view.null_clicks)
+    assert np.array_equal(back.key_phases, key.phases)
+    # a fault after the skipped lines is named by its file line, which counts them
+    lines[at + 4 + 2] = lines[at + 4 + 1]  # element + 2 repeats element + 1
+    p.write_bytes(b"\n".join(lines) + b"\n")
+    expected = f"^line {element + 8}: element index {element + 1}, expected {element + 2} "
+    with pytest.raises(ValueError, match=expected):
+        read_transcript(p)
+
+
+@pytest.mark.parametrize("L", [1, 10, 10**4, 10**4 + 1])
+def test_read_transcript_takes_a_last_line_without_its_line_feed(tmp_path, L):
+    lines, view, _ = _written_lines(tmp_path, L)
+    p = tmp_path / "cut.txt"
+    p.write_bytes(b"\n".join(lines))
+    back = read_transcript(p)
+    assert np.array_equal(back.view.eliminations, view.eliminations)
+    assert np.array_equal(back.view.null_clicks, view.null_clicks)
+    p.write_bytes(b"\n".join(lines[:-1] + [lines[-1][:-1] + b"2"]))
+    with pytest.raises(ValueError, match=f"^line {L + 1}: elimination and null flags must be 0 or 1$"):
+        read_transcript(p)
+
+
+@pytest.mark.parametrize(
+    "column, byte, message",
+    [
+        (-1, b"2", "elimination and null flags must be 0 or 1"),
+        (-3, b"x", "not in the form"),
+        (-2, b"\t", "not in the form"),
+        (3, b"9", "element index 19345, expected 12345"),
+        (0, b"0", "transcript must carry a single message bit, 0 or 1, got 0 after 1"),
+    ],
+)
+def test_read_transcript_names_one_corrupted_byte(tmp_path, column, byte, message):
+    lines, _, _ = _written_lines(tmp_path, 20001)
+    line = bytearray(lines[1 + 12345])
+    line[column] = byte[0]
+    lines[1 + 12345] = bytes(line)
+    p = tmp_path / "corrupt.txt"
+    p.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ValueError, match=f"^line 12347: {message}"):
         read_transcript(p)
 
 
