@@ -472,6 +472,22 @@ def _written_lines(tmp_path, L, seed=3):
     return (tmp_path / "w.txt").read_bytes().split(b"\n")[:-1], view, key
 
 
+def test_read_transcript_decodes_the_writer_form_without_splitting_lines(tmp_path, monkeypatch):
+    """A file in the writer's form is decoded once from its size; one with
+    other lines to skip is decoded again after a split at its line feeds."""
+    sizes = []
+    decode = protocol._decode
+    monkeypatch.setattr(protocol, "_decode", lambda body: sizes.append(len(body)) or decode(body))
+    lines, view, _ = _written_lines(tmp_path, 20001)
+    write_transcript(tmp_path / "bare.txt", 1, view)
+    for name in ("w.txt", "bare.txt"):
+        read_transcript(tmp_path / name)
+    assert sizes == [protocol.transcript_bytes(20001) - len("# key \n") - 20001] * 2
+    (tmp_path / "note.txt").write_bytes(b"\n".join([b"# note"] + lines[1:]) + b"\n")
+    read_transcript(tmp_path / "note.txt")
+    assert len(sizes) == 4
+
+
 @pytest.mark.parametrize("element", [100, 10**4, 2 * 10**4])  # a width change, two run boundaries
 def test_read_transcript_skips_lines_at_layout_boundaries(tmp_path, element):
     lines, view, key = _written_lines(tmp_path, 20003)
