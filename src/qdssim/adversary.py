@@ -10,9 +10,9 @@ inferred, and pays the elimination cost of every wrong guess; actively,
 he may also tamper with the other recipient's arm, at the price of
 lighting up null monitors.
 
-Campaign helpers draw each run's decision counts directly from their
-exact law, the binomial of the summed per-element process, and draw
-nothing the decision does not read.
+Campaigns draw from the exact law of what they report: a forging run's
+mismatch and null counts are binomials, and a repudiation campaign's
+success count is one binomial at a product of exact tails, for any runs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import discrimination, security
-from .protocol import ACCEPT, N_PHASES, REJECT, ProtocolParams, decide
+from .protocol import ACCEPT, N_PHASES, ProtocolParams, decide
 
 
 # ------------------------------------------------------------------ repudiation
@@ -46,18 +46,6 @@ class RepudiationStrategy:
             )
 
 
-def _decisions(p: float, runs: int, params: ProtocolParams, threshold: float, rng: np.random.Generator):
-    """(decision codes, mismatch counts) of ``runs`` runs at mismatch probability p.
-
-    Each run's mismatch count is Binomial(L, p) and its null count
-    Binomial(L, d), d the dark-click probability: what a recipient sees
-    when the null monitor stays at dark counts. Drawn in that order.
-    """
-    mismatches = rng.binomial(params.length, p, size=runs)
-    nulls = rng.binomial(params.length, params.null_click_prob(), size=runs)
-    return decide(mismatches, nulls, params, threshold), mismatches
-
-
 def repudiation_frequency(
     strategy: RepudiationStrategy,
     params: ProtocolParams,
@@ -66,18 +54,19 @@ def repudiation_frequency(
 ) -> float:
     """Empirical success frequency of repudiation: Bob accepts, Charlie rejects.
 
-    The sender launches identical tampered copies, so null monitors stay
-    at dark counts, and both recipients' mismatch counts are independent
-    binomials at the targeted probability. Being independent of Bob's,
-    Charlie's counts are drawn only for the runs Bob accepted.
+    The sender launches identical tampered copies, so null monitors stay at
+    dark counts and both recipients' mismatch counts are independent
+    Binomial(L, target). A run succeeds with the product q of four exact
+    tails, both recipients' nulls within r * L, Bob's mismatches below s_a * L
+    and Charlie's at s_v * L or more (the products ``decide`` compares).
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    target = strategy.target_mismatch_prob
-    bob, _ = _decisions(target, runs, params, params.auth_threshold, rng)
-    accepted = np.count_nonzero(bob == ACCEPT)
-    charlie, _ = _decisions(target, accepted, params, params.verify_threshold, rng)
-    return float(np.count_nonzero(charlie == REJECT) / runs)
+    L, target, tail = params.length, strategy.target_mismatch_prob, security.log_binomial_tail
+    kept = tail(math.floor(params.null_abort_fraction * L), L, params.null_click_prob(), upper=False)
+    bob = tail(math.ceil(params.auth_threshold * L) - 1, L, target, upper=False)
+    charlie = tail(math.ceil(params.verify_threshold * L), L, target, upper=True)
+    return int(rng.binomial(runs, math.exp(bob + charlie + 2.0 * kept))) / runs
 
 
 def repudiation_bound(params: ProtocolParams) -> float:
@@ -154,13 +143,15 @@ def forge_campaign(
     the analytic one, e.g. to replay a measured matrix). So each element
     independently mismatches with probability ``expected_forge_cost``, and
     a run's mismatch count is exactly Binomial(L, cost). Passive forging
-    leaves the verifier's null monitor at dark counts.
+    leaves the verifier's null monitor at dark counts: Binomial(L, d).
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     # the cost can round to just above 1 when every entry is 1
     cost = min(1.0, expected_forge_cost(strategy, params, click_matrix))
-    codes, mismatches = _decisions(cost, runs, params, params.verify_threshold, rng)
+    mismatches = rng.binomial(params.length, cost, size=runs)
+    nulls = rng.binomial(params.length, params.null_click_prob(), size=runs)
+    codes = decide(mismatches, nulls, params, params.verify_threshold)
     return float((codes == ACCEPT).mean()), float(mismatches.mean() / params.length)
 
 

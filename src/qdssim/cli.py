@@ -314,7 +314,10 @@ def cmd_attack(cfg: ExperimentConfig, args) -> int:
     elif args.kind == "forge_passive":
         scale = _amplitude_scale(args, cfg.alpha_sq, 1.0)
         strategy = adversary.srm_forging_strategy(cfg.alpha_sq, scale)
-        freq, mean_fraction = adversary.forge_campaign(strategy, params, runs, rng, governing)
+        try:  # its two outputs are read jointly, so its counts are drawn per run
+            freq, mean_fraction = adversary.forge_campaign(strategy, params, runs, rng, governing)
+        except MemoryError:
+            raise ConfigError(f"field 'trials' = {runs} is too large: forge_passive's counts do not fit in memory") from None
         dec = security.decompose(governing)
         bounds = security.bound_min_cost(dec, min_error_probability(cfg.alpha_sq * scale**2))
         pairs = [

@@ -325,21 +325,13 @@ def failure_bounds(
         raise ValueError(f"length must be >= 1, got {length}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    if auth_threshold < p_honest:
-        raise ValueError(
-            f"ordering violated: auth_threshold >= p_honest fails "
-            f"({auth_threshold} < {p_honest})"
-        )
-    if verify_threshold < auth_threshold:
-        raise ValueError(
-            f"ordering violated: verify_threshold >= auth_threshold fails "
-            f"({verify_threshold} < {auth_threshold})"
-        )
-    if c_min < verify_threshold:
-        raise ValueError(
-            f"ordering violated: c_min >= verify_threshold fails "
-            f"({c_min} < {verify_threshold})"
-        )
+    for name, low, high in (
+        ("auth_threshold >= p_honest", p_honest, auth_threshold),
+        ("verify_threshold >= auth_threshold", auth_threshold, verify_threshold),
+        ("c_min >= verify_threshold", verify_threshold, c_min),
+    ):
+        if high < low:
+            raise ValueError(f"ordering violated: {name} fails ({high} < {low})")
     return FailureBounds(
         honest_rejection=hoeffding(auth_threshold - p_honest, length),
         repudiation=math.exp(
@@ -381,6 +373,88 @@ def rescale_for_loss(matrix, old_transmittance: float, new_transmittance: float)
     if scaled.max() > 1.0:
         raise ValueError("rescaled entries exceed 1; linear scaling is not valid there")
     return CostMatrix(scaled)
+
+
+# ------------------------------------------------------------------ exact tails
+
+def log_binomial_tail(k: int, n: int, p: float, upper: bool) -> float:
+    """ln P(X >= k) if ``upper`` else ln P(X <= k), for X ~ Binomial(n, p).
+
+    The tail away from the mean is the binomial term, -n KL(k/n || p) plus
+    Stirling's remainders in the log, times the convergent continued fraction
+    for the incomplete beta; the other tail is one minus that. Within a standard
+    deviation of the mean at variance V >= 1e8, where the fraction needs
+    ~V^(1/3) terms, the Lugannani-Rice formula takes over (error O(V^-3/2)).
+    """
+    k, n = int(k), int(n)
+    if n < 0 or not 0.0 <= p <= 1.0:
+        raise ValueError(f"need n >= 0 and p in [0, 1], got n={n}, p={p}")
+    num, den = float(p).as_integer_ratio()  # p exactly, so that k - np is formed exactly
+    if not upper:  # X <= k exactly when n - X >= n - k, and n - X ~ Binomial(n, 1 - p)
+        k, num = n - k, den - num
+    if k <= 0 or num == den:
+        return 0.0
+    if k > n or num == 0:
+        return -math.inf
+    x, y, lam = num / den, (den - num) / den, (k * den - (n + 1) * num) / den
+    if n * x * y >= 1e8 and lam * lam < n * x * y:
+        return _lugannani_rice(k, n, num, den)
+    if lam > 0:  # P(X >= k) = I_p(k, n - k + 1) = k q pmf(k) r
+        return math.log(k * y) + _log_pmf(k, n, num, den) + _beta_fraction(k, n - k + 1, x, y, lam)
+    # P(X < k) = I_q(n - k + 1, k) = (n - k + 1) p pmf(k - 1) r
+    far = math.log((n - k + 1) * x) + _log_pmf(k - 1, n, num, den) + _beta_fraction(n - k + 1, k, y, x, -lam)
+    return math.log1p(-math.exp(far))
+
+
+def _log_pmf(k: int, n: int, num: int, den: int) -> float:
+    m, mq, d = n * num / den, n * (den - num) / den, (k * den - n * num) / den
+    return _stirling(n) - _stirling(k) - _stirling(n - k) - _bd0(k, m, d) - _bd0(n - k, mq, -d)
+
+
+def _stirling(m: int) -> float:
+    """ln m! - (m ln m - m)."""
+    if m < 30:
+        return math.lgamma(m + 1) - m * math.log(m) + m if m else 0.0
+    r = 1.0 / float(m) ** 2
+    return 0.5 * math.log(2.0 * math.pi * m) + (1 / 12 - r * (1 / 360 - r / 1260)) / m
+
+
+def _bd0(x: float, m: float, d: float) -> float:
+    """x ln(x/m) + m - x for d = x - m; near x = m by Loader's series in v = d / (x + m)."""
+    v = d / (x + m)
+    if abs(v) > 0.1:
+        return m if x == 0 else x * (math.log1p(d / m) if abs(d) < 0.5 * m else math.log(x) - math.log(m)) - d
+    return d * v + 2.0 * x * sum(v ** (2 * j + 1) / (2 * j + 1) for j in range(1, 9))
+
+
+def _beta_fraction(a: int, b: int, x: float, y: float, lam: float) -> float:
+    """ln r, for I_x(a, b) = x^a y^b r / B(a, b), y = 1 - x and lam = a - (a + b) x >= 0: the fraction
+    of Didonato and Morris (ACM TOMS 18, 360, 1992), which no cancellation enters, by Lentz's method."""
+    c, c0, c1 = 1.0 + lam, b / a, 1.0 + 1.0 / a
+    f = C = c / c1
+    D, u, s, j = 0.0, 1.0, a + 1.0, 0
+    while True:
+        j += 1
+        t, w, e = j / a, j * (b - j) * x, a / s
+        alpha = u * (u + c0) * e * e * w * x
+        beta = j + w / s + (1.0 + t) / (c1 + t + t) * (c + j * (1.0 + y))
+        u, s = 1.0 + t, s + 2.0
+        D = 1.0 / (beta + alpha * D or 1e-300)
+        C = beta + alpha / C or 1e-300
+        f *= C * D
+        if abs(C * D - 1.0) < 1e-15:
+            return -math.log(f)
+
+
+def _lugannani_rice(k: int, n: int, num: int, den: int) -> float:
+    """ln P(X >= k) from the saddlepoint at k - 1/2."""
+    x, xq, m, mq = k - 0.5, n - k + 0.5, n * num / den, n * (den - num) / den
+    d = ((2 * k - 1) * den - 2 * n * num) / (2 * den)
+    w = math.copysign(math.sqrt(2.0 * (_bd0(x, m, d) + _bd0(xq, mq, -d))), d)
+    u = 2.0 * math.sinh((math.log1p(d / m) - math.log1p(-d / mq)) / 2.0) * math.sqrt(x * xq / n)
+    # 1/u - 1/w tends to -(1 - 2p) / (6 sd) at the mean, where both terms blow up
+    gap = 1.0 / u - 1.0 / w if abs(w) > 1e-4 else (m - mq) / (6.0 * n * math.sqrt(m * mq / n))
+    return math.log(0.5 * math.erfc(w / math.sqrt(2.0)) + math.exp(-w * w / 2.0) / math.sqrt(2.0 * math.pi) * gap)
 
 
 # ------------------------------------------------------------------ report

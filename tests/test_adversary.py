@@ -17,7 +17,7 @@ from qdssim.adversary import (
     srm_forging_strategy,
 )
 from qdssim.detection import DetectorModel
-from qdssim.protocol import ACCEPT, UNIFORM_PHASES, ChannelModel, ProtocolParams, decide
+from qdssim.protocol import ACCEPT, REJECT, UNIFORM_PHASES, ChannelModel, ProtocolParams, decide
 
 
 def make_params(**overrides):
@@ -75,6 +75,95 @@ def test_repudiation_frequency_matches_exact_law():
         RepudiationStrategy(target), params, runs, np.random.default_rng(12)
     )
     assert abs(freq - q) < 5 * math.sqrt(q * (1 - q) / runs)
+
+
+def two_stage_repudiation_frequency(strategy, params, runs, rng):
+    """The per-run sampler: Bob's mismatch and null counts for every run,
+    then Charlie's for the runs Bob accepted, each run decided by ``decide``."""
+    L, t, d = params.length, strategy.target_mismatch_prob, params.null_click_prob()
+    bob = decide(rng.binomial(L, t, runs), rng.binomial(L, d, runs), params, params.auth_threshold)
+    accepted = int(np.count_nonzero(bob == ACCEPT))
+    charlie = decide(rng.binomial(L, t, accepted), rng.binomial(L, d, accepted), params, params.verify_threshold)
+    return np.count_nonzero(charlie == REJECT) / runs
+
+
+def exact_repudiation_success(params, target):
+    """P(Bob accepts) * P(Charlie rejects), summed from scipy's pmf with
+    the comparisons ``decide`` makes."""
+    L = params.length
+    k = np.arange(L + 1)
+    mismatch = stats.binom.pmf(k, L, target)
+    kept = stats.binom.pmf(k, L, params.null_click_prob())[k <= params.null_abort_fraction * L].sum()
+    bob = mismatch[k < params.auth_threshold * L].sum() * kept
+    charlie = mismatch[k >= params.verify_threshold * L].sum() * kept
+    return bob * charlie, kept
+
+
+REPUDIATION_SETTINGS = {
+    "midpoint": (dict(length=40, auth_threshold=0.4, verify_threshold=0.6, null_abort_fraction=0.05), 0.5),
+    # the null budget r L = 10 sits at the mean null count 9.8: about half the recipients abort
+    "null-budget-binds": (
+        dict(length=200, auth_threshold=0.49, verify_threshold=0.51, null_abort_fraction=0.05,
+             detector=DetectorModel(efficiency=0.5, dark_click_prob=0.049)), 0.5
+    ),
+    # s_a L = 24, s_v L = 26 and r L = 5 are whole numbers, where < and <= differ
+    "whole-cut-offs": (
+        dict(length=50, auth_threshold=0.48, verify_threshold=0.52, null_abort_fraction=0.1,
+             detector=DetectorModel(efficiency=0.5, dark_click_prob=0.09)), 0.5
+    ),
+    "whole-cut-offs-off-centre": (
+        dict(length=50, auth_threshold=0.48, verify_threshold=0.52, null_abort_fraction=0.1,
+             detector=DetectorModel(efficiency=0.5, dark_click_prob=0.09)), 0.47
+    ),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(REPUDIATION_SETTINGS))
+def test_repudiation_frequency_draws_one_binomial_at_the_exact_success_probability(setting):
+    overrides, target = REPUDIATION_SETTINGS[setting]
+    params = make_params(**overrides)
+    if setting.startswith("whole"):
+        L = params.length
+        assert all((x * L).is_integer() for x in (params.auth_threshold, params.verify_threshold,
+                                                  params.null_abort_fraction))
+
+    class Spy:
+        def binomial(self, n, p, size=None):
+            assert size is None
+            seen.append((n, p))
+            return 7
+
+    seen = []
+    assert repudiation_frequency(RepudiationStrategy(target), params, 10**9, Spy()) == 7 / 10**9
+    q, _ = exact_repudiation_success(params, target)
+    assert len(seen) == 1 and seen[0][0] == 10**9
+    assert seen[0][1] == pytest.approx(q, rel=1e-12)
+
+
+@pytest.mark.parametrize("setting", sorted(REPUDIATION_SETTINGS))
+def test_repudiation_frequency_agrees_in_law_with_the_two_stage_sampler(setting):
+    overrides, target = REPUDIATION_SETTINGS[setting]
+    params = make_params(**overrides)
+    q, kept = exact_repudiation_success(params, target)
+    assert 0.005 < q < 0.5
+    if setting == "null-budget-binds":
+        assert 0.3 < kept < 0.7
+    runs = 200_000
+    strategy = RepudiationStrategy(target)
+    new = repudiation_frequency(strategy, params, runs, np.random.default_rng(41))
+    old = two_stage_repudiation_frequency(strategy, params, runs, np.random.default_rng(42))
+    sigma = math.sqrt(q * (1 - q) / runs)
+    assert abs(new - q) < 5 * sigma
+    assert abs(old - q) < 5 * sigma
+    assert abs(new - old) < 5 * math.sqrt(2) * sigma
+
+
+def test_repudiation_frequency_takes_any_number_of_runs():
+    params = make_params(length=40, auth_threshold=0.4, verify_threshold=0.6, null_abort_fraction=0.05)
+    q, _ = exact_repudiation_success(params, 0.5)
+    runs = 2**63 - 1
+    freq = repudiation_frequency(RepudiationStrategy(0.5), params, runs, np.random.default_rng(5))
+    assert abs(freq - q) < 5 * math.sqrt(q * (1 - q) / runs) + 1e-15
 
 
 def test_repudiation_bound_and_midpoint():

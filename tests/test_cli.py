@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -314,6 +315,32 @@ def test_simulate_out_past_the_memory_of_its_records_exits_1(tmp_path):
     assert f"each transcript would take {protocol.transcript_bytes(L)} bytes" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out_dir.exists()
+
+
+def test_forge_passive_past_the_memory_of_its_counts_exits_1():
+    """A trial count whose per-run counts cannot be allocated names 'trials' and prints nothing."""
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+        "from qdssim.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    argv = ["attack", "forge_passive", "--preset", "paper-2014", "--trials", "1000000000000"]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert "'trials' = 1000000000000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_attack_repudiate_takes_the_largest_trial_count_at_once(capsys):
+    runs = 2**63 - 1
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "attack", "repudiate", "--preset", "paper-2014", "--trials", str(runs))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    pairs = parse_kv(out)
+    assert pairs["runs"] == str(runs)
+    assert 0.0 <= float(pairs["empirical_success"]) <= float(pairs["bound"])
 
 
 def test_simulate_deterministic(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -591,3 +592,148 @@ def test_signed_zero_excess_follows_numpy():
         _same_bits(bound_min_cost(dec, 0.5), _numpy_bounds(excess, p_honest, advantage, 0.5))
         with pytest.raises(NoProvableSecurityError, match=f"excess is {advantage};"):
             analyze(entries, 1.0, 1e-4)
+
+
+# ------------------------------------------------------------------ exact tails
+
+TAIL_NS = [1, 2, 7, 30, 100, 1000, 10**6, 10**9, 51_042_710_665_729]
+TAIL_PS = [1e-12, 1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.999, 1 - 1e-12]
+TAIL_ZS = [-40, -10, -3, -1, -0.3, -0.01, 0, 0.01, 0.3, 1, 3, 10, 40]
+N_MAX = 2**63 - 1
+
+
+def tail_points(ns, ps, zs, ends=(0, 1, -2, -1)):
+    """(k, n, p): k at the ``ends`` (n + 1 + e for e < 0) and at the mean +-z standard deviations."""
+    for n in ns:
+        for p in ps:
+            sd = math.sqrt(n * p * (1 - p))
+            ks = {e if e >= 0 else n + e + 1 for e in ends} | {int(round(n * p + z * sd)) for z in zs}
+            for k in sorted(k for k in ks if 0 <= k <= n):
+                yield k, n, p
+
+
+def test_log_binomial_tail_matches_scipy_on_the_grid():
+    """Each tail, or where it exceeds 1/2 its complement, agrees with
+    scipy's in ratio. scipy's own error grows with n: against mpmath it is
+    1.3e-8 at n = 5.1e13, and at n = 2^63 - 1, which a double does not hold,
+    3e-3; so that n is checked against mpmath only."""
+    from scipy import stats
+
+    for k, n, p in tail_points(TAIL_NS, TAIL_PS, TAIL_ZS):
+        for upper in (True, False):
+            got = security.log_binomial_tail(k, n, p, upper)
+            tail = stats.binom.sf(k - 1, n, p) if upper else stats.binom.cdf(k, n, p)
+            other = stats.binom.cdf(k - 1, n, p) if upper else stats.binom.sf(k, n, p)
+            if 1e-290 < tail <= 0.5:
+                err = abs(got - math.log(tail))
+            elif 1e-290 < other < 0.5:
+                err = abs(-math.expm1(got) / other - 1.0)
+            else:  # beyond scipy's range; the deep tails are checked against mpmath
+                assert got <= math.log(1e-280) or got >= -1e-280, (k, n, p, upper, got)
+                continue
+            assert err < (1e-10 if n <= 10**9 else 5e-8), (k, n, p, upper, got, tail, other)
+
+
+def test_log_binomial_tail_edges():
+    t = security.log_binomial_tail
+    assert t(0, 10, 0.3, True) == 0.0 and t(-1, 10, 0.3, True) == 0.0
+    assert t(11, 10, 0.3, True) == -math.inf and t(-1, 10, 0.3, False) == -math.inf
+    assert t(10, 10, 0.3, False) == 0.0
+    for n in (1, 10, N_MAX):
+        assert t(1, n, 0.0, True) == -math.inf and t(0, n, 0.0, False) == 0.0
+        assert t(n, n, 1.0, True) == 0.0 and t(n - 1, n, 1.0, False) == -math.inf
+    with pytest.raises(ValueError, match="p in"):
+        t(1, 10, 1.5, True)
+    with pytest.raises(ValueError, match="n >= 0"):
+        t(1, -1, 0.5, True)
+
+
+@pytest.mark.parametrize("n", [1, 7, 10**6, 51_042_710_665_729, N_MAX])
+@pytest.mark.parametrize("p", [1e-12, 3e-4, 0.5, 1 - 1e-12])
+def test_log_binomial_tail_closed_forms_at_the_ends(n, p):
+    """P(X >= n) = p^n, P(X <= 0) = (1 - p)^n and P(X >= 1) = 1 - (1 - p)^n."""
+    import mpmath
+
+    mpmath.mp.dps = 50
+    log_q = n * mpmath.log1p(-mpmath.mpf(p))
+    for got, want in (
+        (security.log_binomial_tail(n, n, p, True), n * mpmath.log(p)),
+        (security.log_binomial_tail(0, n, p, False), log_q),
+        (security.log_binomial_tail(1, n, p, True), mpmath.log1p(-mpmath.exp(log_q))),
+    ):
+        assert got == pytest.approx(float(want), rel=1e-13, abs=0)
+
+
+def mp_log_tail(k: int, n: int, p: float, upper: bool):
+    """ln P(X >= k) or ln P(X <= k) by 50-digit quadrature of the incomplete
+    beta integral, in pieces from p outward until they no longer count."""
+    import mpmath
+
+    mpmath.mp.dps = 50
+    if upper:  # P(X >= k) = I_p(k, n - k + 1), an integral over (0, p)
+        a, b, sign = k, n - k + 1, -1
+    else:  # P(X <= k) = 1 - I_p(k + 1, n - k), the same integrand over (p, 1)
+        a, b, sign = k + 1, n - k, 1
+    x = mpmath.mpf(p)
+    log_beta = mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b)
+
+    def g(t):
+        return (a - 1) * mpmath.log(t) + (b - 1) * mpmath.log1p(-t)
+
+    at_x = g(x)
+    step = min(mpmath.sqrt(mpmath.mpf(a) * b) / mpmath.mpf(a + b) ** 1.5, x if sign < 0 else 1 - x) / 4
+    total, edge = mpmath.mpf(0), x
+    while True:
+        nxt = min(max(edge + sign * step, 0), 1)
+        piece = mpmath.quad(lambda t: mpmath.exp(g(t) - at_x), sorted([edge, nxt]))
+        total += piece
+        if nxt in (0, 1) or piece < total * mpmath.mpf(10) ** -40:
+            return at_x + mpmath.log(total) - log_beta
+        edge, step = nxt, step * 1.5
+
+
+DEEP_TAILS = [
+    (100, 10**6, 3e-4, False),  # 4.17e-41, which one minus the other tail rounds to 0
+    (10**9, 5 * 10**13, 2e-5, True),  # 0.5000, where an lgamma prefactor gives 0.482
+    (880, 1000, 0.3, True),  # 1e-321: scipy's tail is subnormal
+    (120, 1000, 0.7, False),
+    (900, 1000, 0.999, False),
+    (10, 10**6, 1e-3, False),
+    (2_000_000, 10**7, 0.1, True),
+    (15_312_813_199_719 - 40 * 3_273_849, 51_042_710_665_729, 0.3, False),
+    (15_312_813_199_719 + 40 * 3_273_849, 51_042_710_665_729, 0.3, True),
+    (51_042_710_665_729 // 2, 51_042_710_665_729, 0.3, True),
+    (4 * 10**12, N_MAX, 1e-6, False),
+]
+
+
+@pytest.mark.parametrize(
+    "k, n, p, upper",
+    DEEP_TAILS + [(k, n, p, upper) for k, n, p in tail_points([N_MAX], [1e-12, 1e-6, 0.5, 1 - 1e-12], [-40, -1, 0.01, 0.3, 10], ())
+                  for upper in (True, False)],
+)
+def test_log_binomial_tail_matches_mpmath(k, n, p, upper):
+    got = security.log_binomial_tail(k, n, p, upper)
+    want = mp_log_tail(k, n, p, upper)
+    if want < math.log(0.5):
+        assert got == pytest.approx(float(want), rel=1e-12, abs=1e-300)
+        return
+    # a tail near 1: the quadrature takes in the peak, so compare one minus it with the other tail
+    other = float(mp_log_tail(k - 1, n, p, False) if upper else mp_log_tail(k + 1, n, p, True))
+    if other < -700:
+        assert -1e-300 < got <= 0.0
+    else:
+        assert math.log(-math.expm1(got)) == pytest.approx(other, rel=1e-12)
+
+
+def test_log_binomial_tail_is_quick_next_to_the_mean():
+    """Near the mean the fraction needs ~V^(1/3) terms; past V = 1e8 the
+    saddlepoint formula keeps each call short up to n = 2^63 - 1."""
+    start = time.perf_counter()
+    for n in (10**8, 4 * 10**8 - 1, N_MAX):
+        for p in (1e-12, 1e-6, 0.5, 1 - 1e-12):
+            mean = round(n * p)
+            for k in range(max(mean - 3, 1), min(mean + 4, n)):
+                for upper in (True, False):
+                    assert -50.0 < security.log_binomial_tail(k, n, p, upper) <= 0.0
+    assert time.perf_counter() - start < 2.0

@@ -8,7 +8,8 @@ Runs ``perfbench/run.py --workload all`` in the checkout twice, at
 metrics), and reads the result record each workload leaves in
 ``.perfbench/results/``. The point holds the machine facts, both sets of
 metrics per workload, whether every run was correct, and the number of
-lines under ``src/``. It is written to the root of this repository, and
+lines under ``src/``; its commit is the checkout's HEAD, or null outside a
+git checkout. It is written to the root of this repository, and
 each metric is printed with its ratio to the newest ``BENCH_<n>.json``
 there with n < N. perfbench is run as a program, never imported or changed.
 """
@@ -40,6 +41,19 @@ def run_perfbench(checkout: Path, seed: int, seconds: float, trace: int) -> tupl
         record = json.loads(path.read_text())
         records[record["workload"]] = record
     return summary["correct"], records
+
+
+def head_commit(checkout: Path) -> str | None:
+    """The commit checked out at ``checkout``; None unless it is the top of a git checkout."""
+    try:
+        proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--show-toplevel", "HEAD"],
+                              capture_output=True, text=True)
+    except OSError:
+        return None
+    lines = proc.stdout.split()
+    if proc.returncode != 0 or len(lines) != 2 or Path(lines[0]).resolve() != checkout:
+        return None
+    return lines[1]
 
 
 def src_lines(checkout: Path) -> int:
@@ -98,6 +112,7 @@ def main(argv=None) -> int:
             workload: {name: m["value"] for name, m in record["metrics"].items()}
             for workload, record in records.items()
         }
+    point["machine"]["commit"] = head_commit(checkout)
     point["src_lines"] = src_lines(checkout)
 
     earlier = previous(args.number)
