@@ -602,12 +602,12 @@ TAIL_ZS = [-40, -10, -3, -1, -0.3, -0.01, 0, 0.01, 0.3, 1, 3, 10, 40]
 N_MAX = 2**63 - 1
 
 
-def tail_points(ns, ps, zs, ends=(0, 1, -2, -1)):
-    """(k, n, p): k at the ``ends`` (n + 1 + e for e < 0) and at the mean +-z standard deviations."""
+def tail_points(ns, ps, zs, ends=True):
+    """(k, n, p): k at the mean +-z standard deviations, and with ``ends`` at 0, 1, n - 1 and n."""
     for n in ns:
         for p in ps:
             sd = math.sqrt(n * p * (1 - p))
-            ks = {e if e >= 0 else n + e + 1 for e in ends} | {int(round(n * p + z * sd)) for z in zs}
+            ks = ({0, 1, n - 1, n} if ends else set()) | {int(round(n * p + z * sd)) for z in zs}
             for k in sorted(k for k in ks if 0 <= k <= n):
                 yield k, n, p
 
@@ -709,7 +709,7 @@ DEEP_TAILS = [
 
 @pytest.mark.parametrize(
     "k, n, p, upper",
-    DEEP_TAILS + [(k, n, p, upper) for k, n, p in tail_points([N_MAX], [1e-12, 1e-6, 0.5, 1 - 1e-12], [-40, -1, 0.01, 0.3, 10], ())
+    DEEP_TAILS + [(k, n, p, upper) for k, n, p in tail_points([N_MAX], [1e-12, 1e-6, 0.5, 1 - 1e-12], [-40, -1, 0.01, 0.3, 10], ends=False)
                   for upper in (True, False)],
 )
 def test_log_binomial_tail_matches_mpmath(k, n, p, upper):
