@@ -56,21 +56,26 @@ def test_repudiation_frequency_deterministic():
     assert (a * 5000).is_integer()
 
 
+def exact_repudiation_success(params, target):
+    """P(Bob accepts) * P(Charlie rejects), summed from scipy's pmf with
+    the comparisons ``decide`` makes."""
+    L = params.length
+    k = np.arange(L + 1)
+    mismatch = stats.binom.pmf(k, L, target)
+    kept = stats.binom.pmf(k, L, params.null_click_prob())[k <= params.null_abort_fraction * L].sum()
+    bob = mismatch[k < params.auth_threshold * L].sum() * kept
+    charlie = mismatch[k >= params.verify_threshold * L].sum() * kept
+    return bob * charlie, kept
+
+
 def test_repudiation_frequency_matches_exact_law():
     """Bob accepts and Charlie rejects independently, each a closed-form
     binomial event; the campaign's frequency matches their product."""
     params = make_params(
         length=40, auth_threshold=0.4, verify_threshold=0.6, null_abort_fraction=0.05
     )
-    L, target, runs = params.length, 0.5, 200_000
-    k = np.arange(L + 1)
-    mismatch_pmf = stats.binom.pmf(k, L, target)
-    nulls_ok = stats.binom.pmf(k, L, params.null_click_prob())[
-        k <= params.null_abort_fraction * L
-    ].sum()
-    bob_accepts = mismatch_pmf[k < params.auth_threshold * L].sum() * nulls_ok
-    charlie_rejects = mismatch_pmf[k >= params.verify_threshold * L].sum() * nulls_ok
-    q = bob_accepts * charlie_rejects
+    target, runs = 0.5, 200_000
+    q, _ = exact_repudiation_success(params, target)
     freq = repudiation_frequency(
         RepudiationStrategy(target), params, runs, np.random.default_rng(12)
     )
@@ -85,18 +90,6 @@ def two_stage_repudiation_frequency(strategy, params, runs, rng):
     accepted = int(np.count_nonzero(bob == ACCEPT))
     charlie = decide(rng.binomial(L, t, accepted), rng.binomial(L, d, accepted), params, params.verify_threshold)
     return np.count_nonzero(charlie == REJECT) / runs
-
-
-def exact_repudiation_success(params, target):
-    """P(Bob accepts) * P(Charlie rejects), summed from scipy's pmf with
-    the comparisons ``decide`` makes."""
-    L = params.length
-    k = np.arange(L + 1)
-    mismatch = stats.binom.pmf(k, L, target)
-    kept = stats.binom.pmf(k, L, params.null_click_prob())[k <= params.null_abort_fraction * L].sum()
-    bob = mismatch[k < params.auth_threshold * L].sum() * kept
-    charlie = mismatch[k >= params.verify_threshold * L].sum() * kept
-    return bob * charlie, kept
 
 
 REPUDIATION_SETTINGS = {
