@@ -106,9 +106,11 @@ def srm_forging_strategy(alpha_sq: float, amplitude_scale: float = 1.0) -> Forgi
 
     He is granted the full launch amplitude times ``amplitude_scale`` (1
     for a passive forger, sqrt(3/2) in the active analysis where he also
-    steals the multiport dump port), i.e. no channel loss on his side;
-    that makes the simulated forger at least as strong as any physical one
-    at the same scale.
+    steals the multiport dump port), i.e. no channel loss on his side.
+    The SRM minimizes a circulant cost, so against a circulant matrix, such
+    as the analytic one, the simulated forger is at least as strong as any
+    physical one at the same scale; against a measured, non-circulant
+    matrix a cheaper measurement may exist.
     """
     g = discrimination.gram_matrix(alpha_sq * amplitude_scale**2)
     return ForgingStrategy(discrimination.srm_outcomes(g))
@@ -118,14 +120,8 @@ def expected_forge_cost(
     strategy: ForgingStrategy, params: ProtocolParams, click_matrix=None
 ) -> float:
     """Mean mismatch fraction the strategy pays per element, in expectation."""
-    C = _clicks(params, click_matrix)
+    C = params.click_matrix() if click_matrix is None else security.cost_entries(click_matrix)
     return float((strategy.outcome_matrix * C).sum() / N_PHASES)
-
-
-def _clicks(params: ProtocolParams, click_matrix) -> np.ndarray:
-    if click_matrix is None:
-        return params.click_matrix()
-    return security.cost_entries(click_matrix)
 
 
 def forge_campaign(
@@ -140,10 +136,10 @@ def forge_campaign(
     Per element the sent phase is uniform, the forger declares according to
     his outcome matrix, and the verifier's record eliminates the declared
     phase with the click matrix's probability (``click_matrix`` overrides
-    the analytic one, e.g. to replay a measured matrix). So each element
-    independently mismatches with probability ``expected_forge_cost``, and
-    a run's mismatch count is exactly Binomial(L, cost). Passive forging
-    leaves the verifier's null monitor at dark counts: Binomial(L, d).
+    the params' governing matrix). So each element independently
+    mismatches with probability ``expected_forge_cost``, and a run's
+    mismatch count is exactly Binomial(L, cost). Passive forging leaves
+    the verifier's null monitor at dark counts: Binomial(L, d).
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -181,18 +177,16 @@ class ActiveForgeBound:
 
 
 def active_forge_budget(
-    params: ProtocolParams,
-    cost_matrix=None,
-    amplitude_scale: float = math.sqrt(1.5),
+    params: ProtocolParams, amplitude_scale: float = math.sqrt(1.5)
 ) -> ActiveForgeBound:
     """Evaluate the active-forging bound for the given parameter set.
 
-    The honest-baseline and excess statistics come from ``cost_matrix``
-    (or the analytic click matrix), while the forger's discrimination
-    floor uses ``amplitude_scale**2 * alpha_sq`` mean photons. Vacuous
-    parameter sets are reported, not raised.
+    The honest-baseline and excess statistics come from the params'
+    governing matrix, while the forger's discrimination floor uses
+    ``amplitude_scale**2 * alpha_sq`` mean photons. Vacuous parameter sets
+    are reported, not raised.
     """
-    dec = security.decompose(_clicks(params, cost_matrix))
+    dec = security.decompose(params.click_matrix())
     scaled_min_error = discrimination.min_error_probability(
         params.alpha_sq * amplitude_scale**2
     )

@@ -292,11 +292,10 @@ def cmd_attack(cfg: ExperimentConfig, args) -> int:
     params = cfg.protocol_params(measured)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     runs = _runs(cfg)
-    governing = measured.entries if measured is not None else params.click_matrix()
 
     if args.kind == "repudiate":
         target = args.target if args.target is not None else adversary.optimal_repudiation_target(params)
-        floor = security.decompose(governing).p_honest
+        floor = security.decompose(params.click_matrix()).p_honest
         if not floor <= target <= 1.0:
             raise UsageError(
                 f"target mismatch probability {target} is not achievable; "
@@ -315,17 +314,17 @@ def cmd_attack(cfg: ExperimentConfig, args) -> int:
         scale = _amplitude_scale(args, cfg.alpha_sq, 1.0)
         strategy = adversary.srm_forging_strategy(cfg.alpha_sq, scale)
         try:  # its two outputs are read jointly, so its counts are drawn per run
-            freq, mean_fraction = adversary.forge_campaign(strategy, params, runs, rng, governing)
+            freq, mean_fraction = adversary.forge_campaign(strategy, params, runs, rng)
         except MemoryError:
             raise ConfigError(f"field 'trials' = {runs} is too large: forge_passive's counts do not fit in memory") from None
-        dec = security.decompose(governing)
+        dec = security.decompose(params.click_matrix())
         bounds = security.bound_min_cost(dec, min_error_probability(cfg.alpha_sq * scale**2))
         pairs = [
             ("kind", args.kind),
             ("runs", runs),
             ("length", params.length),
             ("amplitude_scale", scale),
-            ("expected_cost", adversary.expected_forge_cost(strategy, params, governing)),
+            ("expected_cost", adversary.expected_forge_cost(strategy, params)),
             ("c_min_lower", bounds.c_min_lower),
             ("verify_threshold", params.verify_threshold),
             ("empirical_success", freq),
@@ -333,7 +332,7 @@ def cmd_attack(cfg: ExperimentConfig, args) -> int:
         ]
     else:  # forge_active_bound
         scale = _amplitude_scale(args, cfg.alpha_sq, math.sqrt(1.5))
-        budget = adversary.active_forge_budget(params, governing, scale)
+        budget = adversary.active_forge_budget(params, scale)
         pairs = [("kind", args.kind), ("length", params.length), *_fields(budget)]
     _report(pairs, args.out)
     return 0
@@ -360,7 +359,3 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

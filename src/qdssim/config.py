@@ -1,7 +1,9 @@
 """Run configuration: one flat record, JSON-loadable, with named presets.
 
-Thresholds left unset are derived from the analytic click matrix through
-the security pipeline, so a bare preset is immediately runnable.
+A run has one governing matrix: a measured one when given, otherwise the
+analytic click matrix. Honest runs are sampled from it, and thresholds
+left unset are placed on it by the security pipeline, so a bare preset is
+immediately runnable.
 """
 
 from __future__ import annotations
@@ -118,37 +120,33 @@ class ExperimentConfig:
     def analytic_click_matrix(self):
         return detection.phase_click_matrix(self.receiver_intensity(), self.detector())
 
-    def resolve_thresholds(self, cost_matrix) -> tuple[float, float]:
-        """Configured thresholds, or the equalizing ones ``security.analyze`` places.
-
-        A measured ``cost_matrix`` should govern the thresholds it will be
-        tested against; ``protocol_params`` passes the analytic click
-        matrix when it is given none.
-        """
-        if self.auth_threshold is not None:
-            return self.auth_threshold, self.verify_threshold
-        report = security.analyze(cost_matrix, self.alpha_sq, self.security_level)
-        return report.auth_threshold, report.verify_threshold
-
     def protocol_params(self, cost_matrix=None) -> ProtocolParams:
-        governing = self.analytic_click_matrix() if cost_matrix is None else cost_matrix
-        s_a, s_v = self.resolve_thresholds(governing)
+        """Params governed by ``cost_matrix``, or by the analytic click matrix.
+
+        The governing matrix is the one the run samples from and, for
+        thresholds left unset, the one ``security.analyze`` places them on.
+        """
+        channel, detector = self.channel(), self.detector()
+        if cost_matrix is None:
+            cost_matrix = detection.phase_click_matrix(channel.receiver_intensity(self.alpha_sq), detector)
+        s_a, s_v = self.auth_threshold, self.verify_threshold
+        if s_a is None:
+            report = security.analyze(cost_matrix, self.alpha_sq, self.security_level)
+            s_a, s_v = report.auth_threshold, report.verify_threshold
         r = self.null_abort_fraction
         if r is None:
             r = self.dark_click_prob + 2.0 * self.epsilon
-        params = ProtocolParams(
+        return ProtocolParams(
             length=self.length,
             auth_threshold=s_a,
             verify_threshold=s_v,
             alpha_sq=self.alpha_sq,
             null_abort_fraction=r,
             epsilon=self.epsilon,
-            channel=self.channel(),
-            detector=self.detector(),
+            channel=channel,
+            detector=detector,
+            cost_matrix=cost_matrix,
         )
-        if cost_matrix is None:  # the analytic matrix params would compute from the same inputs
-            vars(params)["_click_matrix"] = governing
-        return params
 
     # -------------------------------------------------------------- (de)serialization
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import detection
+from . import detection, security
 from .detection import DetectorModel
 
 N_PHASES = 4
@@ -100,6 +100,11 @@ class ProtocolParams:
     null-click fraction above which a recipient aborts; robustness demands
     r >= honest null rate + epsilon, where ``epsilon`` is the slack used in
     the active-tampering analysis.
+
+    ``cost_matrix`` is the governing matrix, which runs are sampled from
+    and judged by; unset, it is the analytic click matrix of ``channel``
+    and ``detector`` at ``alpha_sq``. It is stored once, read-only, so a
+    ``dataclasses.replace`` that changes those inputs should unset it.
     """
 
     length: int
@@ -110,6 +115,8 @@ class ProtocolParams:
     epsilon: float = 0.0
     channel: ChannelModel = field(default_factory=ChannelModel)
     detector: DetectorModel = field(default_factory=lambda: detection.IDEAL_DETECTOR)
+    # out of == and hash: an ndarray there would make == raise and hash() fail
+    cost_matrix: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.length < 1:
@@ -132,19 +139,22 @@ class ProtocolParams:
                 "null_abort_fraction must cover the honest null rate plus epsilon: "
                 f"{self.null_abort_fraction} < {self.null_click_prob()} + {self.epsilon}"
             )
+        if self.cost_matrix is None:
+            matrix = detection.phase_click_matrix(self.receiver_intensity(), self.detector)
+        else:
+            matrix = security.cost_entries(self.cost_matrix)
+            if matrix.flags.writeable:  # a copy, so the caller's array cannot move the run
+                matrix = matrix.copy()
+                matrix.flags.writeable = False
+        object.__setattr__(self, "cost_matrix", matrix)
 
     def receiver_intensity(self) -> float:
         """Mean photon number reaching a recipient's elimination receiver."""
         return self.channel.receiver_intensity(self.alpha_sq)
 
     def click_matrix(self) -> np.ndarray:
-        """Analytic (sent phase x eliminated phase) click probabilities, read-only."""
-        return self._click_matrix
-
-    @functools.cached_property
-    def _click_matrix(self) -> np.ndarray:
-        # once per parameter set; a frozen dataclass without slots keeps a __dict__
-        return detection.phase_click_matrix(self.receiver_intensity(), self.detector)
+        """The governing (sent phase x eliminated phase) click probabilities, read-only."""
+        return self.cost_matrix
 
     def honest_mismatch_prob(self) -> float:
         """Probability that an element eliminates the phase actually sent."""
@@ -261,9 +271,10 @@ def distribute(
 
     Per element the sender draws a uniform phase and launches identical
     copies into the multiport; each recipient's four elimination detectors
-    click independently with the analytic probabilities C for that phase,
-    and each null monitor clicks at the dark rate d (honest inputs cancel
-    exactly at the null port).
+    click independently with the probabilities C of the governing matrix
+    (``params.click_matrix()``) for that phase, and each null monitor
+    clicks at the dark rate d (honest inputs cancel exactly at the null
+    port).
 
     Only counts are drawn, and exactly: pulses ~ Multinomial(L, 1/4 each);
     per recipient clicks[i, j] ~ Binomial(pulses[i], C[i, j]), exact since

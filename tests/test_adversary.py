@@ -371,8 +371,9 @@ def test_active_forge_budget_reference_is_vacuous():
         null_abort_fraction=1e-6,
         epsilon=1e-6,
         detector=DetectorModel(efficiency=1.0, dark_click_prob=0.0),
+        cost_matrix=security.reference_cost_matrix(),
     )
-    budget = active_forge_budget(params, security.reference_cost_matrix())
+    budget = active_forge_budget(params)
     assert budget.scaled_min_error == pytest.approx(0.02933889338067952, rel=1e-10)
     assert budget.c_prime_min == pytest.approx(4.2131405613948835e-5, rel=1e-10)
     assert budget.c_prime_min < rep.c_min_lower  # boosted copy discriminates better
@@ -395,8 +396,9 @@ def test_active_forge_budget_nonvacuous_case():
         null_abort_fraction=6e-3,
         epsilon=5e-3,
         detector=DetectorModel(efficiency=1.0, dark_click_prob=0.0),
+        cost_matrix=C,
     )
-    budget = active_forge_budget(params, C, amplitude_scale=math.sqrt(1.5))
+    budget = active_forge_budget(params, amplitude_scale=math.sqrt(1.5))
     assert budget.scaled_min_error == pytest.approx(
         discrimination.min_error_probability(0.15), rel=1e-12
     )
@@ -426,10 +428,9 @@ def test_active_budget_degenerate_limit_matches_passive_bound():
         null_abort_fraction=0.0,
         epsilon=0.0,
         detector=DetectorModel(efficiency=1.0, dark_click_prob=0.0),
+        cost_matrix=security.reference_cost_matrix(),
     )
-    budget = active_forge_budget(
-        params, security.reference_cost_matrix(), amplitude_scale=1.0
-    )
+    budget = active_forge_budget(params, amplitude_scale=1.0)
     assert budget.tampering_allowance == 0.0
     assert budget.c_prime_min == pytest.approx(rep.c_min_lower, rel=1e-12)
     passive = security.failure_bounds(

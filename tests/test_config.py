@@ -76,27 +76,30 @@ def test_analytic_click_matrix_diagonal():
     assert float(np.diag(m).mean()) == pytest.approx(2.4996e-4, abs=1e-7)
 
 
-def test_resolve_thresholds_equalize():
+def test_protocol_params_thresholds_equalize():
     cfg = ExperimentConfig()
-    s_a, s_v = cfg.resolve_thresholds(cfg.analytic_click_matrix())
+    params = cfg.protocol_params()
     dec = security.decompose(cfg.analytic_click_matrix())
     g = discrimination.min_error_probability(1.0) * dec.guaranteed_advantage
-    assert s_a == pytest.approx(dec.p_honest + g / 4, rel=1e-12)
-    assert s_v == pytest.approx(dec.p_honest + 3 * g / 4, rel=1e-12)
+    assert params.auth_threshold == pytest.approx(dec.p_honest + g / 4, rel=1e-12)
+    assert params.verify_threshold == pytest.approx(dec.p_honest + 3 * g / 4, rel=1e-12)
 
 
-def test_resolve_thresholds_explicit_pair_wins():
+def test_protocol_params_explicit_pair_wins():
     cfg = ExperimentConfig(auth_threshold=0.1, verify_threshold=0.2)
-    assert cfg.resolve_thresholds(cfg.analytic_click_matrix()) == (0.1, 0.2)
+    for matrix in (None, security.reference_cost_matrix()):
+        params = cfg.protocol_params(matrix)
+        assert (params.auth_threshold, params.verify_threshold) == (0.1, 0.2)
 
 
-def test_resolve_thresholds_uses_given_matrix():
+def test_protocol_params_thresholds_use_given_matrix():
     cfg = ExperimentConfig()
     ref = security.reference_cost_matrix()
-    s_a, s_v = cfg.resolve_thresholds(ref)
+    params = cfg.protocol_params(ref)
     rep = security.analyze(ref, 1.0, cfg.security_level)
-    assert s_a == pytest.approx(rep.auth_threshold, rel=1e-12)
-    assert s_v == pytest.approx(rep.verify_threshold, rel=1e-12)
+    assert params.auth_threshold == pytest.approx(rep.auth_threshold, rel=1e-12)
+    assert params.verify_threshold == pytest.approx(rep.verify_threshold, rel=1e-12)
+    assert params.click_matrix().tobytes() == ref.entries.tobytes()
 
 
 def test_protocol_params_derived_null_budget():

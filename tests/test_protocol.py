@@ -584,12 +584,61 @@ def test_click_matrix_is_computed_once_per_params(monkeypatch):
     with pytest.raises(ValueError):
         configured.click_matrix()[0, 0] = 0.5
 
-    # thresholds from a measured matrix need no analytic one until it is asked for
+    # a measured matrix governs the params it is given to, and no analytic one is built
     calls.clear()
-    measured = cfg.protocol_params(security.reference_cost_matrix())
+    ref = security.reference_cost_matrix()
+    measured = cfg.protocol_params(ref)
     assert len(calls) == 0
-    assert measured.click_matrix().tobytes() == rebuilt.click_matrix().tobytes()
-    assert len(calls) == 1
+    assert measured.click_matrix().tobytes() == ref.entries.tobytes()
+    assert measured.honest_mismatch_prob() == float(np.diag(ref.entries).mean())
+    ref.entries[0, 0] = 0.5  # the params hold their own read-only copy
+    assert measured.click_matrix()[0, 0] != 0.5
+    with pytest.raises(ValueError):
+        measured.click_matrix()[0, 0] = 0.5
+    assert len(calls) == 0
+
+
+def test_honest_runs_on_a_measured_matrix_reject_at_its_exact_tail():
+    # sampled from and judged by the bundled matrix, each recipient's
+    # mismatch count is Binomial(L, p_h(M)), so it rejects with the exact
+    # upper tail at its threshold; nulls stay far below the budget
+    from scipy import stats
+
+    ref = security.reference_cost_matrix()
+    params = preset("paper-2014").replace(length=10**6).protocol_params(ref)
+    L, p_h = params.length, params.honest_mismatch_prob()
+    assert p_h == float(np.diag(ref.entries).mean())
+    runs = 4000
+    results = [run_honest_exchange(params, np.random.default_rng(ss)) for ss in np.random.SeedSequence(3016).spawn(runs)]
+    for threshold, outcomes in (
+        (params.auth_threshold, [r.bob_outcome for r in results]),
+        (params.verify_threshold, [r.charlie_outcome for r in results]),
+    ):
+        k = math.ceil(threshold * L)  # the least count ``decide`` rejects
+        exact = math.exp(security.log_binomial_tail(k, L, p_h, upper=True))
+        assert exact == pytest.approx(stats.binom.sf(k - 1, L, p_h), rel=1e-10)
+        rejected = sum(outcome is Outcome.REJECTED for outcome in outcomes) / runs
+        assert abs(rejected - exact) <= 5 * math.sqrt(exact * (1 - exact) / runs)
+
+
+def test_params_with_a_governing_matrix_compare_and_hash_without_it():
+    cfg = preset("paper-2014")
+    analytic, measured = cfg.protocol_params(), cfg.protocol_params(security.reference_cost_matrix())
+    assert hash(analytic) == hash(analytic) and analytic == analytic
+    # the matrix stays out of == and hash: an ndarray would make both raise
+    same = dataclasses.replace(analytic, cost_matrix=measured.click_matrix())
+    assert same == analytic and hash(same) == hash(analytic)
+    assert measured != analytic  # their thresholds differ
+    assert {analytic, measured, same} == {analytic, measured}
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [(np.zeros((3, 4)), "4x4"), (np.full((4, 4), 1.5), r"\[0, 1\]"), (np.full((4, 4), np.nan), "finite")],
+)
+def test_params_refuse_a_malformed_governing_matrix(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        make_params(cost_matrix=matrix)
 
 
 def test_distribute_ideal_optics_never_eliminates_sent_phase():
