@@ -353,9 +353,10 @@ def main(argv=None) -> int:
     except security.NoProvableSecurityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, ConfigError) as exc:
+    except (UsageError, OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

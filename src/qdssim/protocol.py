@@ -101,10 +101,10 @@ class ProtocolParams:
     r >= honest null rate + epsilon, where ``epsilon`` is the slack used in
     the active-tampering analysis.
 
-    ``cost_matrix`` is the governing matrix, which runs are sampled from
-    and judged by; unset, it is the analytic click matrix of ``channel``
-    and ``detector`` at ``alpha_sq``. It is stored once, read-only, so a
-    ``dataclasses.replace`` that changes those inputs should unset it.
+    ``cost_matrix`` is the governing matrix that runs are sampled from and
+    judged by, by default the analytic one of ``channel``, ``detector`` and
+    ``alpha_sq``. Stored read-only, it is kept by ``dataclasses.replace``
+    unless reset to None, and left out of ==: equal params may sample apart.
     """
 
     length: int
@@ -115,7 +115,7 @@ class ProtocolParams:
     epsilon: float = 0.0
     channel: ChannelModel = field(default_factory=ChannelModel)
     detector: DetectorModel = field(default_factory=lambda: detection.IDEAL_DETECTOR)
-    # out of == and hash: an ndarray there would make == raise and hash() fail
+    # out of == and hash (see above): an ndarray would make == raise, hash() fail
     cost_matrix: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):

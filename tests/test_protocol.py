@@ -579,7 +579,12 @@ def test_click_matrix_is_computed_once_per_params(monkeypatch):
     assert (configured.auth_threshold, configured.verify_threshold) == (
         report.auth_threshold, report.verify_threshold,
     )
-    rebuilt = ProtocolParams(**{f.name: getattr(configured, f.name) for f in dataclasses.fields(configured)})
+    assert np.array_equal(configured.click_matrix(), analytic)
+    # params rebuilt from the same fields, but left to compute their own matrix, agree
+    rebuilt = ProtocolParams(
+        **{f.name: getattr(configured, f.name) for f in dataclasses.fields(configured) if f.name != "cost_matrix"}
+    )
+    assert rebuilt.click_matrix() is not configured.click_matrix()
     assert configured.click_matrix().tobytes() == rebuilt.click_matrix().tobytes()
     with pytest.raises(ValueError):
         configured.click_matrix()[0, 0] = 0.5
@@ -630,6 +635,13 @@ def test_params_with_a_governing_matrix_compare_and_hash_without_it():
     assert same == analytic and hash(same) == hash(analytic)
     assert measured != analytic  # their thresholds differ
     assert {analytic, measured, same} == {analytic, measured}
+    # replace keeps the matrix unless it is reset, which recomputes it for the new fields
+    brighter = cfg.replace(alpha_sq=2 * cfg.alpha_sq).protocol_params()
+    kept = dataclasses.replace(analytic, alpha_sq=brighter.alpha_sq)
+    assert kept.click_matrix() is analytic.click_matrix()
+    reset = dataclasses.replace(analytic, alpha_sq=brighter.alpha_sq, cost_matrix=None)
+    assert reset.click_matrix().tobytes() == brighter.click_matrix().tobytes()
+    assert reset.click_matrix().tobytes() != analytic.click_matrix().tobytes()
 
 
 @pytest.mark.parametrize(
