@@ -151,6 +151,15 @@ def forge_campaign(
     return float((codes == ACCEPT).mean()), float(mismatches.mean() / params.length)
 
 
+def forge_floor(params: ProtocolParams, amplitude_scale: float) -> tuple[float, float]:
+    """(discrimination limit, provable floor of the mismatch fraction) of a
+    forger at ``amplitude_scale**2 * alpha_sq`` mean photons, against the
+    params' governing matrix."""
+    min_error = discrimination.min_error_probability(params.alpha_sq * amplitude_scale**2)
+    dec = security.decompose(params.click_matrix())
+    return min_error, security.bound_min_cost(dec, min_error).c_min_lower
+
+
 # ------------------------------------------------------------------ active forging
 
 @dataclass(frozen=True)
@@ -186,11 +195,7 @@ def active_forge_budget(
     ``amplitude_scale**2 * alpha_sq`` mean photons. Vacuous parameter sets
     are reported, not raised.
     """
-    dec = security.decompose(params.click_matrix())
-    scaled_min_error = discrimination.min_error_probability(
-        params.alpha_sq * amplitude_scale**2
-    )
-    c_prime_min = security.bound_min_cost(dec, scaled_min_error).c_min_lower
+    scaled_min_error, c_prime_min = forge_floor(params, amplitude_scale)
     allowance = math.sqrt(params.epsilon + params.null_abort_fraction)
     margin = c_prime_min - params.verify_threshold - allowance
     hoeffding_term = (

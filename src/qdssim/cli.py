@@ -24,7 +24,6 @@ import numpy as np
 
 from . import adversary, config as config_mod, detection, protocol, security
 from .config import ConfigError, ExperimentConfig
-from .discrimination import min_error_probability
 
 ATTACK_KINDS = ("repudiate", "forge_passive", "forge_active_bound")
 
@@ -264,10 +263,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_path) -> int:
             for view in views.values():
                 view.eliminations, view.null_clicks
         except MemoryError:
-            size = protocol.transcript_bytes(params.length)
             raise ConfigError(
                 f"field 'length' = {params.length} is too long for --out: the last run's records do not fit "
-                f"in memory, and each transcript would take {size} bytes; lower it or run without --out"
+                f"in memory, and each transcript's key alone would take {params.length} bytes; "
+                "lower it or run without --out"
             ) from None
         out_dir = Path(out_path)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -295,7 +294,7 @@ def cmd_attack(cfg: ExperimentConfig, args) -> int:
 
     if args.kind == "repudiate":
         target = args.target if args.target is not None else adversary.optimal_repudiation_target(params)
-        floor = security.decompose(params.click_matrix()).p_honest
+        floor = params.honest_mismatch_prob()
         if not floor <= target <= 1.0:
             raise UsageError(
                 f"target mismatch probability {target} is not achievable; "
@@ -317,15 +316,14 @@ def cmd_attack(cfg: ExperimentConfig, args) -> int:
             freq, mean_fraction = adversary.forge_campaign(strategy, params, runs, rng)
         except MemoryError:
             raise ConfigError(f"field 'trials' = {runs} is too large: forge_passive's counts do not fit in memory") from None
-        dec = security.decompose(params.click_matrix())
-        bounds = security.bound_min_cost(dec, min_error_probability(cfg.alpha_sq * scale**2))
+        _, c_min_lower = adversary.forge_floor(params, scale)
         pairs = [
             ("kind", args.kind),
             ("runs", runs),
             ("length", params.length),
             ("amplitude_scale", scale),
             ("expected_cost", adversary.expected_forge_cost(strategy, params)),
-            ("c_min_lower", bounds.c_min_lower),
+            ("c_min_lower", c_min_lower),
             ("verify_threshold", params.verify_threshold),
             ("empirical_success", freq),
             ("mean_mismatch_fraction", mean_fraction),

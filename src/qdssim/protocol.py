@@ -13,15 +13,17 @@ s_a when receiving directly, the larger verification threshold s_v when
 the declaration was forwarded by the other recipient. The gap between the
 two thresholds is what makes accepted messages transferable.
 
-Storage per element is one record {message bit, index, four elimination
-flags, null flag}; nothing quantum survives the distribution stage, so
-arbitrarily long gaps between the stages cost nothing.
+Storage is classical: per element four elimination flags and a null
+flag, of which a transcript keeps only the elements that carry a flag,
+next to the sent phases. Nothing quantum survives the distribution stage,
+so arbitrarily long gaps between the stages cost nothing.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,8 +78,6 @@ class ChannelModel:
         """Mean photon number reaching an elimination receiver from a launch of ``alpha_sq``."""
         return alpha_sq * self.total_transmittance * (1.0 + self.multiport_visibility) / 2.0
 
-
-IDEAL_CHANNEL = ChannelModel()
 
 
 class Outcome(enum.Enum):
@@ -389,190 +389,91 @@ def run_honest_exchange(
 
 # ------------------------------------------------------------------ transcripts
 #
-# One codec writes and checks transcript lines. Each element is the line
-# "bit index e0 e1 e2 e3 null\n" in decimal digits with single spaces, so
-# the line of an index of w digits takes 13 + w bytes, and the byte count
-# of the lines gives N and the offset of every flag. The lines are built
-# from one template per index width, with every flag at 0, in blocks of
-# one run of 10^4 indices.
+# A transcript stores one recipient view with the key it was drawn with:
+# the lines "# qdssim transcript v2", "# bit B" and "# key " with one
+# phase digit 0..3 per element, then "index e0 e1 e2 e3 null" for each
+# element that carries a flag, indices ascending without leading zeros,
+# every line ended by a LF. The reader accepts that form and nothing else.
 
-_LF, _HASH, _ZERO, _ONE = 10, 35, 48, 49
-_RUN = 10**4
-_FORM = "'bit index e0 e1 e2 e3 null' in decimal digits with single spaces and a LF line end"
-
-
-def _widths(n: int):
-    """(first index, end index, digits) of each index width among n elements."""
-    lo, width = 0, 1
-    while lo < n:
-        hi = min(n, 10**width)
-        yield lo, hi, width
-        lo, width = hi, width + 1
+_ZERO, _ONE = 48, 49
+_HEADER = b"# qdssim transcript v2"
+_EVENT = re.compile(rb"(0|[1-9][0-9]{0,18})((?: [01]){5})")
+_NO_FLAG = b" 0 0 0 0 0"
 
 
-def transcript_bytes(n: int) -> int:
-    """Bytes of the transcript of n elements with its key header, as ``write_transcript`` writes it."""
-    return len(b"# key \n") + n + sum((hi - lo) * (13 + width) for lo, hi, width in _widths(n))
-
-
-def _fit(nbytes: int) -> int:
-    """The most elements whose lines take at most ``nbytes`` bytes."""
-    n, width = 0, 1
-    while nbytes >= (10**width - n) * (13 + width):
-        nbytes -= (10**width - n) * (13 + width)
-        n, width = 10**width, width + 1
-    return n + nbytes // (13 + width)
-
-
-def _templates(bit: int, n: int):
-    """(first index, lines with every flag 0) of each run of 10^4 indices of
-    one width among ``n``, as a (rows, 13 + width) uint8 block. A width's
-    block holds all but the higher index digits, which each run sets, so a
-    block is valid until the next is drawn.
-    """
-    low = np.indices((10,) * 4, dtype=np.uint8).reshape(4, _RUN) + _ZERO  # digits of 0000..9999
-    for lo, end, width in _widths(n):
-        rows = min(end - lo, _RUN)
-        line = b"%d %s 0 0 0 0 0\n" % (bit, b"0" * width)
-        block = np.frombuffer(bytearray(line * rows), dtype=np.uint8).reshape(rows, 13 + width)
-        for k in range(min(width, 4)):  # one column at a time: numpy is slow on narrow strided slices
-            block[:, 1 + width - k] = low[3 - k, lo % _RUN:lo % _RUN + rows]
-        for run in range(lo, end, _RUN):
-            for col, digit in enumerate(str(run)[:-4].encode(), start=2):
-                block[:, col] = digit
-            yield run, block[:min(end, run + _RUN) - run]
-
-
-def write_transcript(path, message_bit: int, view: RecipientView, key: PrivateKey | None = None):
-    """Write one recipient view as lines of: bit, index, four flags, null flag.
-
-    When ``key`` is given its phase digits go into a `# key` header line so
-    that downstream cost-matrix estimation can recover the sent phases.
-    """
+def write_transcript(path, message_bit: int, view: RecipientView, key: PrivateKey):
+    """Write one recipient view and its key, one line per element with a flag."""
     if message_bit not in (0, 1):
         raise ValueError(f"message bit must be 0 or 1, got {message_bit!r}")
-    if key is not None and key.message_bit != message_bit:
+    if key.message_bit != message_bit:
         raise ValueError(f"key is for bit {key.message_bit}, transcript for bit {message_bit}")
-    nulls = np.asarray(view.null_clicks)
-    elims = np.asarray(view.eliminations)
-    if np.shape(elims) != (len(nulls), N_PHASES):
-        raise ValueError(f"records shape {np.shape(elims)} does not match {len(nulls)} null flags")
+    phases = np.asarray(key.phases)
+    elims = np.asarray(view.eliminations, dtype=bool)
+    nulls = np.asarray(view.null_clicks, dtype=bool)
+    L = len(phases)
+    if elims.shape != (L, N_PHASES) or nulls.shape != (L,):
+        raise ValueError(f"records of shapes {elims.shape} and {nulls.shape} do not match the key's {L} elements")
+    if L == 0 or phases.min() < 0 or phases.max() >= N_PHASES:
+        raise ValueError("the key must hold one phase 0..3 per element, for at least one element")
+    marked = nulls.copy()  # several times faster than elims.any(axis=1)
+    marked[np.flatnonzero(elims) // N_PHASES] = True
+    rows = np.flatnonzero(marked)
+    columns = np.column_stack((rows, elims[rows], nulls[rows])).T.tolist()
     with open(path, "wb") as f:
-        if key is not None:
-            f.write(b"# key " + (np.asarray(key.phases, dtype=np.uint8) + _ZERO).tobytes() + b"\n")
-        for run, block in _templates(message_bit, len(nulls)):
-            rows, span = block.shape
-            row, phase = np.divmod(np.flatnonzero(elims[run:run + rows]), N_PHASES)
-            ones = np.concatenate((
-                row * span + span - 10 + 2 * phase,  # e0..e3 sit 10, 8, 6, 4 bytes before the line end
-                np.flatnonzero(nulls[run:run + rows]) * span + span - 2,
-            ))
-            flat = block.reshape(-1)
-            flat[ones] = _ONE
-            f.write(block)
-            flat[ones] = _ZERO
+        f.write(b"%s\n# bit %d\n# key " % (_HEADER, message_bit))
+        f.write((phases.astype(np.uint8) + _ZERO).tobytes())
+        f.write(b"\n" + "".join(map("{} {} {} {} {} {}\n".format, *columns)).encode())
 
 
 @dataclass(frozen=True)
 class Transcript:
-    """A deserialized recipient view, with the sent phases when recorded."""
+    """A deserialized recipient view with the sent phases."""
 
     message_bit: int
     view: RecipientView
-    key_phases: np.ndarray | None = None
-
-
-def _decode(body: np.ndarray):
-    """Bit, flags and first faulty line of element lines in the writer's layout.
-
-    The byte count gives N. Each run of lines is compared with the
-    writer's template and passes only if every byte that differs is a 1 at
-    a flag's offset: exactly when the codec re-encodes the flags to the
-    same bytes. The faulty line is the first with another difference, N if
-    bytes follow the last whole line, or None.
-    """
-    N = _fit(len(body))
-    bit = int(body[0]) - _ZERO
-    if bit not in (0, 1):
-        return bit, None, None, 0
-    elims = np.zeros((N, N_PHASES), dtype=bool)
-    nulls = np.zeros(N, dtype=bool)
-    offset = 0
-    for run, block in _templates(bit, N):
-        got = body[offset:offset + block.size]
-        diff = np.flatnonzero(got != block.reshape(-1))
-        row, col = np.divmod(diff, block.shape[1])
-        flag, odd = np.divmod(col - block.shape[1] + 10, 2)  # 0..3 for e0..e3, 4 for null
-        bad = (got[diff] != _ONE) | (odd == 1) | (flag < 0)
-        if bad.any():
-            return bit, elims, nulls, run + int(row[bad][0])
-        null = flag == N_PHASES
-        elims[run + row[~null], flag[~null]] = True
-        nulls[run + row[null]] = True
-        offset += block.size
-    return bit, elims, nulls, None if offset == len(body) else N
-
-
-def _diagnose(line: bytes, n: int, row: int, bit: int):
-    """Raise the error of file line ``n``, element ``row``, which the codec rejected."""
-    tokens = line.split()
-    if len(tokens) != 7:
-        raise ValueError(f"line {n}: expected 7 columns per line, got {len(tokens)}")
-    try:
-        b, index, *flags = (int(t) for t in tokens)
-    except ValueError:
-        raise ValueError(f"line {n}: not in the form {_FORM}") from None
-    if index != row:
-        raise ValueError(
-            f"line {n}: element index {index}, expected {row} (indices must run 0..N-1 in order)"
-        )
-    if b not in (0, 1) or (row and b != bit):
-        after = f" after {bit}" if row else ""
-        raise ValueError(f"line {n}: transcript must carry a single message bit, 0 or 1, got {b}{after}")
-    if any(f not in (0, 1) for f in flags):
-        raise ValueError(f"line {n}: elimination and null flags must be 0 or 1")
-    raise ValueError(f"line {n}: not in the form {_FORM}")
+    key_phases: np.ndarray
 
 
 def read_transcript(path) -> Transcript:
-    """Parse a transcript file in the form ``write_transcript`` writes.
+    """Parse a transcript in exactly the form ``write_transcript`` writes.
 
-    Empty lines and lines starting with '#' are skipped; a first line
-    '# key <digits>' holds the sent phases. The element lines are decoded
-    in the writer's layout and accepted only if the codec re-encodes their
-    flags to exactly their bytes. Only a file with other lines to skip, or
-    a fault, is split at its line feeds to decode its element lines alone
-    and parse the first that differs, naming its defect.
+    Any other file raises a ValueError naming its first line out of that
+    form. The arrays hold one element per key digit, so they never
+    outgrow the file.
     """
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw and not raw.endswith(b"\n"):
-        raw += b"\n"  # a last line without its line feed
-    first = raw[:raw.find(b"\n")]
-    key_phases = None
-    if first.split(None, 2)[:2] == [b"#", b"key"]:
-        digits = np.frombuffer(first, dtype=np.uint8)[6:] - _ZERO
-        if not first.startswith(b"# key ") or len(digits) == 0 or digits.max() > 3:
-            raise ValueError("line 1: key header must hold one phase digit 0..3 per element")
-        key_phases = digits.view(np.int8)
-    a = np.frombuffer(raw, dtype=np.uint8)
-    skip = len(first) + 1 if key_phases is not None else 0  # the writer's only line to skip
-    fault = 0
-    if len(a) > skip:
-        bit, elims, nulls, fault = _decode(a[skip:])
-    if fault is not None:
-        ends = np.flatnonzero(a == _LF)
-        starts = np.empty_like(ends)
-        starts[:1] = 0
-        starts[1:] = ends[:-1] + 1
-        data = (ends > starts) & (a[starts] != _HASH)
-        rows = np.flatnonzero(data)
-        if len(rows) == 0:
-            raise ValueError("transcript has no elements")
-        bit, elims, nulls, fault = _decode(a[np.repeat(data, ends - starts + 1)])
-        if fault is not None:
-            n = rows[fault]
-            _diagnose(raw[starts[n]:ends[n]], int(n) + 1, fault, bit)
-    if key_phases is not None and len(key_phases) != len(nulls):
-        raise ValueError(f"key length {len(key_phases)} does not match {len(nulls)} elements")
-    return Transcript(bit, RecipientView(elims, nulls), key_phases)
+        *lines, tail = f.read().split(b"\n")
+
+    def fault(n: int, expected: str) -> ValueError:
+        if n > len(lines):  # past the last LF
+            expected = "a line ended by a LF" if tail else "one more line"
+        return ValueError(f"line {n}: expected {expected}")
+
+    head = (lines + [b""] * 3)[:3]
+    if head[0] != _HEADER:
+        raise fault(1, f"'{_HEADER.decode()}'")
+    if head[1] not in (b"# bit 0", b"# bit 1"):
+        raise fault(2, "'# bit 0' or '# bit 1'")
+    digits = np.frombuffer(head[2], dtype=np.uint8)[6:] - _ZERO
+    if not head[2].startswith(b"# key ") or len(digits) == 0 or digits.max() >= N_PHASES:
+        raise fault(3, "'# key ' and one phase digit 0..3 per element")
+    L = len(digits)
+    rows, flags, last = [], [], -1
+    for n, line in enumerate(lines[3:], start=4):
+        event = _EVENT.fullmatch(line)
+        if event is None or event[2] == _NO_FLAG:
+            raise fault(n, "'index e0 e1 e2 e3 null' with single spaces, flags 0 or 1 and at least one 1")
+        last, previous = int(event[1]), last
+        if not previous < last < L:
+            raise fault(n, f"an index above {previous} and below the key's {L} elements, got {last}")
+        rows.append(last)
+        flags.append(event[2])
+    if tail:
+        raise fault(len(lines) + 1, "a line ended by a LF")
+    events = np.frombuffer(b"".join(flags), dtype=np.uint8).reshape(-1, 10)[:, 1::2] == _ONE
+    rows = np.array(rows, dtype=np.intp)
+    elims = np.zeros((L, N_PHASES), dtype=bool)
+    elims[rows] = events[:, :N_PHASES]
+    nulls = np.zeros(L, dtype=bool)
+    nulls[rows] = events[:, N_PHASES]
+    return Transcript(int(head[1][-1:]), RecipientView(elims, nulls), digits.view(np.int8))

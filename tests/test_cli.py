@@ -312,7 +312,7 @@ def test_simulate_out_past_the_memory_of_its_records_exits_1(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     assert "'length'" in proc.stderr and "--out" in proc.stderr
-    assert f"each transcript would take {protocol.transcript_bytes(L)} bytes" in proc.stderr
+    assert f"each transcript's key alone would take {L} bytes" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out_dir.exists()
 
@@ -510,6 +510,17 @@ def test_console_script_entry_point():
     assert proc.returncode == 0
     assert proc.stdout.startswith("alpha_sq,")
     assert proc.stderr == ""
+
+
+def test_cli_module_runs_like_the_package():
+    """``python -m qdssim.cli`` prints what ``python -m qdssim`` prints (its
+    stderr still carries runpy's warning, since the package imports ``cli``)."""
+    cli_run, package_run = (
+        subprocess.run([sys.executable, "-m", module, "bounds", REF], capture_output=True, text=True)
+        for module in ("qdssim.cli", "qdssim")
+    )
+    assert (cli_run.returncode, package_run.returncode) == (0, 0)
+    assert cli_run.stdout == package_run.stdout != ""
 
 
 def test_repudiate_rejects_unreachable_target(capsys):

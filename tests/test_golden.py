@@ -30,8 +30,8 @@ REF = str(Path(cli.__file__).with_name("data") / "reference_cost_matrix.txt")
 
 # name: (argv, input files); "{out}" in argv is the --out path and "{cfg}" or
 # "{matrix}" the file of that name in the inputs, holding the given text. At
-# L = 123457 the transcripts hold indices of widths 1..6 and twelve runs of
-# 10^4 indices.
+# L = 123457 the transcripts hold a key line of 123457 digits and element
+# indices of one to six digits.
 L_OUT = json.dumps({"length": 123457})
 FLAT = "0.3 0.3 0.3 0.3\n" * 4  # no off-diagonal excess: no provable security
 INVOCATIONS: dict[str, tuple[list[str], dict[str, str]]] = {

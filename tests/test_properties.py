@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from qdssim import cli, config, protocol, security
 from qdssim.detection import DetectorModel
 from qdssim.protocol import ABORT, ACCEPT, REJECT, ProtocolParams, decide
+import transcript_reference
 
 REF = "src/qdssim/data/reference_cost_matrix.txt"
 
@@ -92,7 +93,7 @@ def _mutated(draw, lines: list[bytes], tokens: list[str]):
 
 
 _MATRIX_TOKENS = ["#", "pulses", "1", "0", "-1", "2.5e-4", "1e400", "nan", "inf", "x", "1_0", "\u0663"]
-_TRANSCRIPT_TOKENS = ["#", "key", "0", "1", "2", "-1", "00", "0123", "4", "x"]
+_TRANSCRIPT_TOKENS = ["#", "qdssim", "transcript", "v2", "bit", "key", "0", "1", "2", "5", "-1", "00", "0123", "4", "x"]
 
 
 def _valid_matrix_lines():
@@ -119,6 +120,26 @@ def test_read_cost_matrix_raises_only_value_errors(data):
 @given(st.one_of(st.binary(max_size=200), _mutated(_valid_transcript_lines(), _TRANSCRIPT_TOKENS)))
 def test_read_transcript_raises_only_value_errors(data):
     _read_allowing_value_errors(protocol.read_transcript, data)
+
+
+@settings(max_examples=300)
+@given(_mutated(_valid_transcript_lines(), _TRANSCRIPT_TOKENS))
+def test_read_transcript_agrees_with_the_line_by_line_reference(data):
+    """Both read equal arrays, or both reject the file at the same line."""
+    expected = transcript_reference.read(data)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "t.txt"
+        path.write_bytes(data)
+        if isinstance(expected, int):
+            with pytest.raises(ValueError, match=f"^line {expected}: "):
+                protocol.read_transcript(path)
+            return
+        got = protocol.read_transcript(path)
+    bit, phases, elims, nulls = expected
+    assert got.message_bit == bit
+    assert np.array_equal(got.key_phases, phases)
+    assert np.array_equal(got.view.eliminations, elims)
+    assert np.array_equal(got.view.null_clicks, nulls)
 
 
 _json = st.recursive(

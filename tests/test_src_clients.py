@@ -1,10 +1,10 @@
 """Every public name in the package has a client outside the unit tests.
 
-A public top-level function or class of ``src/qdssim``, or a public method
-of such a class, counts as used when some module of the package other
-than ``__init__`` refers to it outside its own definition, or when the
-benchmark (``perfbench/*.py``) or the acceptance gate
-(``tests/test_acceptance.py``) does. A reference is an ``ast.Name``, an
+A public top-level function, class or constant of ``src/qdssim``, or a
+public method of such a class, counts as used when some module of the
+package other than ``__init__`` refers to it outside its own
+definition, or when the benchmark (``perfbench/*.py``) or the acceptance
+gate (``tests/test_acceptance.py``) does. A reference is an ``ast.Name``, an
 ``ast.Attribute`` or an import alias with that name; names are matched by
 spelling, not resolved. Code whose only client is its own unit test
 fails here; it belongs in ``tests/`` as an oracle, or nowhere.
@@ -21,8 +21,14 @@ CLIENTS = [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_ac
 
 
 def public_definitions(tree: ast.Module):
-    """(qualified name, node) of each public top-level function, class and method."""
+    """(qualified name, node) of each public top-level function, class,
+    method and constant; a constant's node is its whole assignment."""
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("_"):
+                        yield name.id, node
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name, node
             if isinstance(node, ast.ClassDef):
@@ -81,3 +87,19 @@ def test_the_guard_flags_names_that_only_refer_to_themselves():
     }
     assert names_without_a_client(modules, ["x = a.Box()\n"]) == ["a.lonely", "a.Box.open"]
     assert names_without_a_client(modules, ["x = a.Box().open()\n"]) == ["a.lonely"]
+
+
+def test_the_guard_flags_constants_that_nothing_reads():
+    modules = {
+        "a": (
+            "LIMIT = 3\n"
+            "UNREAD = LIMIT + 1\n"
+            "LOW, HIGH = 0, 1\n"
+            "TYPED: int = 2\n"
+            "_HIDDEN = 4\n\n"
+            "def used():\n    return HIGH\n"
+        ),
+        "b": "from a import used\n",
+    }
+    assert names_without_a_client(modules, []) == ["a.UNREAD", "a.LOW", "a.TYPED"]
+    assert names_without_a_client(modules, ["print(a.TYPED, a.LOW)\n"]) == ["a.UNREAD"]
