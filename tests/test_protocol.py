@@ -365,6 +365,15 @@ def test_write_transcript_rejects_a_key_that_does_not_fit_the_view(tmp_path, pha
 _HEAD = b"# qdssim transcript v2\n# bit 1\n# key 0123\n"
 
 
+def _assert_rejected_at(tmp_path, data, line, expected=""):
+    """The reader and the line-by-line reference both reject data at line."""
+    p = tmp_path / "bad.txt"
+    p.write_bytes(data)
+    assert transcript_reference.read(data) == line
+    with pytest.raises(ValueError, match=f"^line {line}: expected {expected}"):
+        read_transcript(p)
+
+
 @pytest.mark.parametrize(
     "data, line",
     [
@@ -375,20 +384,6 @@ _HEAD = b"# qdssim transcript v2\n# bit 1\n# key 0123\n"
         (b"# qdssim transcript v2\n", 2),
         (b"# qdssim transcript v2\n# bit 2\n# key 0\n", 2),
         (b"# qdssim transcript v2\n# bit 1\n", 3),
-        *((b"# qdssim transcript v2\n# bit 1\n" + k + b"\n", 3)
-          for k in (b"# key", b"# key ", b"# key 4", b"# key 0x", b"# key 01 2", b"# key 0123\r")),
-        (_HEAD + b"0 0 0 0 0 0\n", 4),  # an element with no flag set
-        (_HEAD + b"0 1 0 0 0 0\n4 0 0 0 0 1\n", 5),  # index past the key
-        (_HEAD + b"2 1 0 0 0 0\n2 0 0 0 0 1\n", 5),  # duplicate index
-        (_HEAD + b"2 1 0 0 0 0\n1 0 0 0 0 1\n", 5),  # descending
-        (_HEAD + b"0 1 0 0 0 0\n01 0 0 0 0 1\n", 5),  # leading zero
-        (_HEAD + b"0 1 0 0 0 0\n1 0 0 0 0 2\n", 5),
-        (_HEAD + b"0 1 0 0 0 0\n1 0 0 x 0 1\n", 5),
-        (_HEAD + b"0 1 0 0 0 0\n1 0 0 0 0\n", 5),  # five columns
-        (_HEAD + b"0 1 0 0 0 0\n1  0 0 0 0 1\n", 5),  # double space
-        (_HEAD + b"0 1 0 0 0 0\n1\t0 0 0 0 1\n", 5),  # tab
-        (_HEAD + b"0 1 0 0 0 0\n1 0 0 0 0 1\r\n", 5),  # CRLF
-        (_HEAD + b"0 1 0 0 0 0\n1 0 0 0 0 1 # note\n", 5),
         (_HEAD + b"0 1 0 0 0 0\n\n1 0 0 0 0 1\n", 5),  # blank line
         (_HEAD + b"0 1 0 0 0 0\n# note\n", 5),
         (_HEAD + b"0 1 0 0 0 0\n1 0 0 0 0 1", 5),  # no LF at the end
@@ -396,11 +391,107 @@ _HEAD = b"# qdssim transcript v2\n# bit 1\n# key 0123\n"
     ],
 )
 def test_read_transcript_names_the_first_line_out_of_the_writer_form(tmp_path, data, line):
-    p = tmp_path / "bad.txt"
-    p.write_bytes(data)
-    assert transcript_reference.read(data) == line
-    with pytest.raises(ValueError, match=f"^line {line}: expected "):
-        read_transcript(p)
+    _assert_rejected_at(tmp_path, data, line)
+
+
+def test_read_transcript_rejects_malformed(tmp_path):
+    element = "'index e0 e1 e2 e3 null'"
+    _assert_rejected_at(tmp_path, _HEAD + b"0 0 0 0 0 0\n", 4, element)  # no flag set
+    _assert_rejected_at(tmp_path, _HEAD + b"0 1 0 0 0\n", 4, element)  # five columns
+    _assert_rejected_at(tmp_path, _HEAD + b"1 0 1 0 0 0 0\n", 4, element)  # seven columns
+    _assert_rejected_at(tmp_path, _HEAD + b"0 1 0 0 0 2\n", 4, element)  # flag out of range
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("0 1 0 0 0 0\n4 0 0 0 0 1\n", 5),  # index past the key
+        ("2 1 0 0 0 0\n2 0 0 0 0 1\n", 5),  # duplicate index
+        ("2 1 0 0 0 0\n1 0 0 0 0 1\n", 5),  # out of order
+        ("0 1 0 0 0 0\n1 0 0 0 0 1\n3 0 1 0 0 0\n2 0 0 1 0 0\n", 7),
+    ],
+)
+def test_read_transcript_checks_the_index_column(tmp_path, text, line):
+    _assert_rejected_at(tmp_path, _HEAD + text.encode(), line, "an index above")
+
+
+@pytest.mark.parametrize("header", ["# key", "# key ", "# key 4", "# key 0x", "# key 01 2", "# key 0123\r"])
+def test_read_transcript_rejects_malformed_key_header(tmp_path, header):
+    data = b"# qdssim transcript v2\n# bit 1\n" + header.encode() + b"\n0 1 0 0 0 0\n"
+    _assert_rejected_at(tmp_path, data, 3, "'# key '")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "1  0 0 0 0 1",  # double space
+        "1\t0 0 0 0 1",  # tab
+        "1 0 0 0 0 1\r",  # CRLF
+        "1 0 0 0 0 1 # note",  # trailing comment
+        "1 0 0 x 0 1",  # non-digit
+        "01 0 0 0 0 1",  # leading zero
+    ],
+)
+def test_read_transcript_names_the_line_not_in_the_writer_form(tmp_path, line):
+    data = _HEAD + b"0 1 0 0 0 0\n" + line.encode() + b"\n3 0 1 0 0 0\n"
+    _assert_rejected_at(tmp_path, data, 5, "'index e0 e1 e2 e3 null'")
+
+
+def _savetxt_transcript(path, bit, view, key):
+    """Reference writer: the header lines, then ``np.savetxt`` over the rows with a flag."""
+    L = len(key.phases)
+    stack = np.column_stack([np.arange(L), view.eliminations, view.null_clicks]).astype(np.int64)
+    with open(path, "w") as f:
+        f.write(f"# qdssim transcript v2\n# bit {bit}\n# key " + "".join(str(int(p)) for p in key.phases) + "\n")
+        np.savetxt(f, stack[stack[:, 1:].any(axis=1)], fmt="%d")
+
+
+# lengths on both sides of every index-width change up to 10^5, and others between
+@pytest.mark.parametrize(
+    "L", [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 10001, 19999, 20000, 20001, 75536, 75537, 100001, 110001]
+)
+def test_writer_bytes_match_savetxt(tmp_path, L):
+    for bit, rate in ((L % 2, 0.5), (1 - L % 2, 0.01)):
+        view, key = _random_view(L, L, rate), _random_key(L, L, bit)
+        write_transcript(tmp_path / "codec.txt", bit, view, key)
+        _savetxt_transcript(tmp_path / "savetxt.txt", bit, view, key)
+        assert (tmp_path / "codec.txt").read_bytes() == (tmp_path / "savetxt.txt").read_bytes()
+        back = read_transcript(tmp_path / "savetxt.txt")
+        assert back.message_bit == bit
+        assert np.array_equal(back.view.eliminations, view.eliminations)
+        assert np.array_equal(back.view.null_clicks, view.null_clicks)
+        assert np.array_equal(back.key_phases, key.phases)
+
+
+def _written_lines(tmp_path, L, seed=3):
+    """The lines of a transcript the writer made, without their line feeds."""
+    write_transcript(tmp_path / "w.txt", 1, _random_view(L, seed), _random_key(L, seed))
+    return (tmp_path / "w.txt").read_bytes().split(b"\n")[:-1]
+
+
+@pytest.mark.parametrize("L", [1, 10, 10**4, 10**4 + 1])
+def test_read_transcript_rejects_a_last_line_without_its_line_feed(tmp_path, L):
+    lines = _written_lines(tmp_path, L)
+    _assert_rejected_at(tmp_path, b"\n".join(lines), len(lines), "a line ended by a LF")
+
+
+@pytest.mark.parametrize(
+    "column, byte, expected",
+    [
+        (-1, b"2", "'index e0 e1 e2 e3 null'"),
+        (-3, b"x", "'index e0 e1 e2 e3 null'"),
+        (-2, b"\t", "'index e0 e1 e2 e3 null'"),
+        (0, b"9", "an index above .* below the key's 20001 elements, got 9"),
+        (0, b"0", "'index e0 e1 e2 e3 null'"),  # a leading zero
+    ],
+)
+def test_read_transcript_names_one_corrupted_byte(tmp_path, column, byte, expected):
+    lines = _written_lines(tmp_path, 20001)
+    line = bytearray(lines[3 + 12345])
+    assert line[:1] == b"1"  # an index of five digits, 10000..19999
+    line[column] = byte[0]
+    lines[3 + 12345] = bytes(line)
+    _assert_rejected_at(tmp_path, b"\n".join(lines) + b"\n", 4 + 12345, expected)
 
 
 def test_read_transcript_takes_a_file_without_events(tmp_path):
