@@ -10,9 +10,9 @@ inferred, and pays the elimination cost of every wrong guess; actively,
 he may also tamper with the other recipient's arm, at the price of
 lighting up null monitors.
 
-Campaigns draw from the exact law of what they report: a forging run's
-mismatch and null counts are binomials, and a repudiation campaign's
-success count is one binomial at a product of exact tails, for any runs.
+Campaigns draw from the exact law of what they report, for any runs: a
+repudiation campaign's success count is one binomial at a product of exact
+tails, and a forging campaign draws the histogram of its runs' mismatches.
 """
 
 from __future__ import annotations
@@ -136,19 +136,30 @@ def forge_campaign(
     Per element the sent phase is uniform, the forger declares according to
     his outcome matrix, and the verifier's record eliminates the declared
     phase with the click matrix's probability (``click_matrix`` overrides
-    the params' governing matrix). So each element independently
-    mismatches with probability ``expected_forge_cost``, and a run's
-    mismatch count is exactly Binomial(L, cost). Passive forging leaves
-    the verifier's null monitor at dark counts: Binomial(L, d).
+    the params' governing matrix). So a run's mismatch count is exactly
+    Binomial(L, cost); both outputs are read off one histogram of the runs'
+    counts, in O(min(runs, 75 sqrt(L cost))), and the runs ``decide``
+    accepts on mismatches pass the null budget r * L as one binomial draw.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    L, tail = params.length, security.log_binomial_tail
     # the cost can round to just above 1 when every entry is 1
     cost = min(1.0, expected_forge_cost(strategy, params, click_matrix))
-    mismatches = rng.binomial(params.length, cost, size=runs)
-    nulls = rng.binomial(params.length, params.null_click_prob(), size=runs)
-    codes = decide(mismatches, nulls, params, params.verify_threshold)
-    return float((codes == ACCEPT).mean()), float(mismatches.mean() / params.length)
+    values, counts = mismatch_histogram(L, cost, runs, rng)
+    below = int(counts[decide(values, 0, params, params.verify_threshold) == ACCEPT].sum())
+    kept = math.exp(tail(math.floor(params.null_abort_fraction * L), L, params.null_click_prob(), upper=False))
+    return int(rng.binomial(below, kept)) / runs, sum(map(int.__mul__, values.tolist(), counts.tolist())) / (runs * L)
+
+
+def mismatch_histogram(L: int, cost: float, runs: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(values, counts) of ``runs`` Binomial(L, cost) draws: listed, or one multinomial over the support's cells."""
+    lo, hi = security.binomial_support(L, cost)
+    if runs <= hi - lo:
+        return np.unique(rng.binomial(L, cost, size=runs), return_counts=True)
+    pmf = security.binomial_pmf(L, cost, lo, hi)
+    order = np.argsort(pmf, kind="stable")  # smallest first, so numpy's running remainder stays exact in the tails
+    return lo + order, rng.multinomial(runs, pmf[order])
 
 
 def forge_floor(params: ProtocolParams, amplitude_scale: float) -> tuple[float, float]:

@@ -312,10 +312,10 @@ def cmd_attack(cfg: ExperimentConfig, args) -> int:
     elif args.kind == "forge_passive":
         scale = _amplitude_scale(args, cfg.alpha_sq, 1.0)
         strategy = adversary.srm_forging_strategy(cfg.alpha_sq, scale)
-        try:  # its two outputs are read jointly, so its counts are drawn per run
+        try:
             freq, mean_fraction = adversary.forge_campaign(strategy, params, runs, rng)
         except MemoryError:
-            raise ConfigError(f"field 'trials' = {runs} is too large: forge_passive's counts do not fit in memory") from None
+            raise ConfigError(f"fields 'length' = {params.length} and 'trials' = {runs} are too large for memory") from None
         _, c_min_lower = adversary.forge_floor(params, scale)
         pairs = [
             ("kind", args.kind),

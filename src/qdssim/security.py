@@ -406,6 +406,35 @@ def log_binomial_tail(k: int, n: int, p: float, upper: bool) -> float:
     return math.log1p(-math.exp(far))
 
 
+def binomial_support(n: int, p: float) -> tuple[int, int]:
+    """The first and last m whose Binomial(n, p) pmf is a positive normal double; the mass outside is below 1e-300."""
+    num, den = float(p).as_integer_ratio()
+    if n == 0 or num in (0, den):
+        return (n, n) if num else (0, 0)
+    mode, step, tiny = (n + 1) * num // den, int(math.sqrt(n * num / den * (den - num) / den)) + 1, math.log(2.0**-1022)
+    ends = []
+    for sign, room in ((-1, mode), (1, n - mode)):  # the pmf is log-concave: gallop out from the mode, then bisect
+        good, bad = 0, room + 1  # the pmf is normal at mode + sign * good, and not at mode + sign * bad
+        while bad - good > 1:
+            mid = min(2 * good + step, (good + bad) // 2)
+            good, bad = (mid, bad) if _log_pmf(mode + sign * mid, n, num, den) >= tiny else (good, mid)
+        ends.append(mode + sign * good)
+    return ends[0], ends[1]
+
+
+def binomial_pmf(n: int, p: float, lo: int, hi: int) -> np.ndarray:
+    """The Binomial(n, p) pmf at lo..hi, normalized over them, from running sums (in extended precision where there is
+    one) of ln r_k, r_k = pmf(k+1) / pmf(k), as log1p of r_k - 1 = (np - q - k) / ((k + 1) q) where r_k >= 1/2."""
+    num, den = float(p).as_integer_ratio()
+    mode, q = (n + 1) * num // den, (den - num) / den
+    k = np.arange(lo - mode, hi - mode, dtype=float)  # offsets from the mode
+    r1 = ((n * num - mode * den - den + num) / den - k) / ((k + (mode + 1)) * q)
+    step = np.where(r1 < -0.5, np.log(((n - mode) - k) * (num / den) / ((k + (mode + 1)) * q)), np.log1p(r1))
+    log_w = np.cumsum(np.concatenate(([0.0], step)), dtype=np.longdouble)  # ln pmf(lo..hi) - ln pmf(lo)
+    w = np.exp((log_w - log_w.max()).astype(float))
+    return w / w.sum()
+
+
 def _log_pmf(k: int, n: int, num: int, den: int) -> float:
     m, mq, d = n * num / den, n * (den - num) / den, (k * den - n * num) / den
     return _stirling(n) - _stirling(k) - _stirling(n - k) - _bd0(k, m, d) - _bd0(n - k, mq, -d)

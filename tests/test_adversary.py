@@ -261,19 +261,24 @@ def reference_forge_counts(strategy, params, runs, rng, C):
 
 
 def campaign_counts(monkeypatch, strategy, params, runs, rng, C):
-    """Per-run mismatches and acceptances that ``forge_campaign`` decides on."""
+    """Per-run mismatches, rebuilt from the histogram that ``forge_campaign``
+    draws, and its success count."""
     seen = {}
+    draw = adversary.mismatch_histogram
 
-    def spy(mismatches, nulls, p, threshold):
-        seen["m"], seen["codes"] = mismatches, decide(mismatches, nulls, p, threshold)
-        return seen["codes"]
+    def spy(*args):
+        seen["hist"] = draw(*args)
+        return seen["hist"]
 
-    monkeypatch.setattr(adversary, "decide", spy)
+    monkeypatch.setattr(adversary, "mismatch_histogram", spy)
     freq, mean_fraction = forge_campaign(strategy, params, runs, rng, C)
-    ok = seen["codes"] == ACCEPT
-    assert freq == ok.mean()
-    assert mean_fraction == seen["m"].mean() / params.length
-    return seen["m"], ok
+    m = np.repeat(*seen["hist"])
+    assert len(m) == runs
+    assert mean_fraction == int(m.sum()) / (runs * params.length)
+    successes = round(freq * runs)
+    assert freq == successes / runs
+    assert successes <= (m < params.verify_threshold * params.length).sum()
+    return m, successes
 
 
 COARSE = np.full((4, 4), 0.5)
@@ -281,17 +286,19 @@ np.fill_diagonal(COARSE, 0.05)
 
 
 @pytest.mark.parametrize(
-    "C, thresholds, null_abort_fraction",
+    "C, thresholds, null_abort_fraction, runs",
     [
         # any mismatch or any null fails the forger: both counts decide
-        (security.reference_cost_matrix().entries, (5e-5, 1e-4), 1.5e-4),
+        (security.reference_cost_matrix().entries, (5e-5, 1e-4), 1.5e-4, 3000),
         # cost 0.0916 against s_v = 0.092: about half the runs succeed
-        (COARSE, (0.05, 0.092), 0.01),
+        (COARSE, (0.05, 0.092), 0.01, 3000),
+        # fewer runs than the 812 cells of the support: the runs are listed
+        (COARSE, (0.05, 0.092), 0.01, 800),
     ],
-    ids=["bundled", "coarse"],
+    ids=["bundled", "coarse", "coarse-listed"],
 )
 def test_forge_campaign_matches_element_level_chain(
-    monkeypatch, C, thresholds, null_abort_fraction
+    monkeypatch, C, thresholds, null_abort_fraction, runs
 ):
     params = make_params(
         length=2000,
@@ -300,8 +307,7 @@ def test_forge_campaign_matches_element_level_chain(
         null_abort_fraction=null_abort_fraction,
     )
     s = srm_forging_strategy(1.0)
-    runs = 3000
-    m, ok = campaign_counts(monkeypatch, s, params, runs, np.random.default_rng(31), C)
+    m, successes = campaign_counts(monkeypatch, s, params, runs, np.random.default_rng(31), C)
     m_ref, ok_ref = reference_forge_counts(s, params, runs, np.random.default_rng(32), C)
     L, p = params.length, expected_forge_cost(s, params, C)
     var = L * p * (1 - p)
@@ -310,9 +316,94 @@ def test_forge_campaign_matches_element_level_chain(
     assert abs(m.mean() - m_ref.mean()) < 5 * math.sqrt(2 * var / runs)
     sd_var = math.sqrt(2 * (fourth - var**2) / runs)
     assert abs(m.var(ddof=1) - m_ref.var(ddof=1)) < 5 * sd_var
-    q = (ok.sum() + ok_ref.sum()) / (2 * runs)
+    q = (successes + ok_ref.sum()) / (2 * runs)
     assert 0.05 < q < 0.95
-    assert abs(int(ok.sum()) - int(ok_ref.sum())) < 5 * math.sqrt(2 * runs * q * (1 - q))
+    assert abs(successes - int(ok_ref.sum())) < 5 * math.sqrt(2 * runs * q * (1 - q))
+
+
+def two_sample_chi2_within_5_sigma(a, b):
+    """Pearson's homogeneity statistic of two histograms of equal total,
+    each cell that holds fewer than 20 runs of both pooled into one, below
+    its mean plus 5 standard deviations (mean df, variance 2 df)."""
+    small = a + b < 20
+    a = np.append(a[~small], a[small].sum())
+    b = np.append(b[~small], b[small].sum())
+    keep = a + b > 0
+    stat = float((((a - b) ** 2)[keep] / (a + b)[keep]).sum())
+    df = int(keep.sum()) - 1
+    assert df > 10
+    assert stat < df + 5 * math.sqrt(2 * df)
+
+
+def pearson_chi2_within_5_sigma(observed, expected):
+    """Pearson's goodness-of-fit statistic, each cell expected to hold fewer
+    than 10 runs pooled into one, below its mean plus 5 standard deviations."""
+    small = expected < 10
+    o = np.append(observed[~small], observed[small].sum())
+    e = np.append(expected[~small], expected[small].sum())
+    df = len(o) - 1
+    assert df > 10
+    assert float(((o - e) ** 2 / e).sum()) < df + 5 * math.sqrt(2 * df)
+
+
+def test_mismatch_histogram_counting_and_listing_agree_in_law():
+    """Up to the support's size the runs are listed, past it counted in one
+    multinomial; pooled listings and one count of as many runs agree cell by
+    cell, and each agrees with the exact pmf."""
+    L, cost = 2000, 0.0916
+    lo, hi = security.binomial_support(L, cost)
+    rng = np.random.default_rng(41)
+    calls, runs = 200, hi - lo
+    listed = np.zeros(hi - lo + 1, dtype=np.int64)
+    for _ in range(calls):
+        values, counts = adversary.mismatch_histogram(L, cost, runs, rng)
+        assert len(values) < hi - lo + 1 and counts.sum() == runs
+        np.add.at(listed, values - lo, counts)
+    values, counts = adversary.mismatch_histogram(L, cost, calls * runs, rng)
+    assert sorted(values.tolist()) == list(range(lo, hi + 1))  # one cell per support value
+    counted = np.zeros_like(listed)
+    counted[values - lo] = counts
+    two_sample_chi2_within_5_sigma(listed, counted)
+    expected = calls * runs * stats.binom.pmf(np.arange(lo, hi + 1), L, cost)
+    pearson_chi2_within_5_sigma(listed, expected)
+    pearson_chi2_within_5_sigma(counted, expected)
+
+
+@pytest.mark.parametrize(
+    "C, verify_threshold, null_budget",
+    [
+        # accepted only at 0 mismatches, at most 1 null
+        (security.reference_cost_matrix().entries, 1 / 4096, 1.5),
+        # accepted below 376 of mean 375 mismatches, with no null
+        (COARSE, 376 / 4096, 0.5),
+    ],
+    ids=["bundled", "coarse"],
+)
+def test_forge_campaign_success_count_follows_the_exact_law(C, verify_threshold, null_budget):
+    """At 10^8 runs the success count lies within 5 sigma of runs * q, where
+    q = P(M < s_v L) P(N <= floor(r L)) from the exact tails. s_v L is an
+    integer and r L is not, so that accepting a run at the threshold or one
+    null past the budget moves the count by many sigma."""
+    L, runs = 4096, 10**8
+    params = make_params(
+        length=L, auth_threshold=verify_threshold / 2, verify_threshold=verify_threshold,
+        null_abort_fraction=null_budget / L,
+    )
+    s = srm_forging_strategy(1.0)
+    cost = expected_forge_cost(s, params, C)
+    threshold = verify_threshold * L
+    assert threshold == int(threshold) and params.null_abort_fraction * L == null_budget
+    tail = security.log_binomial_tail
+    log_q = tail(int(threshold) - 1, L, cost, upper=False) + tail(math.floor(null_budget), L, params.null_click_prob(), upper=False)
+    q = math.exp(log_q)
+    assert q == pytest.approx(
+        stats.binom.cdf(int(threshold) - 1, L, cost) * stats.binom.cdf(math.floor(null_budget), L, params.null_click_prob()),
+        rel=1e-9,
+    )
+    assert 0.05 < q < 0.95
+    freq, mean_fraction = forge_campaign(s, params, runs, np.random.default_rng(51), C)
+    assert abs(freq * runs - runs * q) < 5 * math.sqrt(runs * q * (1 - q))
+    assert abs(mean_fraction - cost) < 5 * math.sqrt(cost * (1 - cost) / (L * runs))
 
 
 def test_forge_campaign_clamps_a_cost_rounded_past_one():

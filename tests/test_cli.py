@@ -317,18 +317,33 @@ def test_simulate_out_past_the_memory_of_its_records_exits_1(tmp_path):
     assert not out_dir.exists()
 
 
-def test_forge_passive_past_the_memory_of_its_counts_exits_1():
-    """A trial count whose per-run counts cannot be allocated names 'trials' and prints nothing."""
+def test_attack_forge_passive_takes_the_largest_trial_count_at_once(capsys):
+    runs = 2**63 - 1
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "attack", "forge_passive", "--preset", "paper-2014", "--trials", str(runs))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    pairs = parse_kv(out)
+    assert pairs["runs"] == str(runs)
+    assert 0.0 <= float(pairs["empirical_success"]) <= 1.0
+    assert float(pairs["mean_mismatch_fraction"]) == pytest.approx(float(pairs["expected_cost"]), rel=1e-9)
+
+
+def test_forge_passive_past_the_memory_of_its_histogram_exits_1(tmp_path):
+    """A length and a trial count whose histogram of mismatch counts cannot be
+    allocated name both fields and print nothing."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"length": 10**18}))
     code = (
         "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
         "from qdssim.cli import main; sys.exit(main(sys.argv[1:]))"
     )
-    argv = ["attack", "forge_passive", "--preset", "paper-2014", "--trials", "1000000000000"]
+    argv = ["attack", "forge_passive", "--preset", "paper-2014", "--config", str(cfg), "--trials", str(10**12)]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
-    assert "'trials' = 1000000000000" in proc.stderr
+    assert f"'length' = {10**18}" in proc.stderr and f"'trials' = {10**12}" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import numpy as np
@@ -738,3 +739,54 @@ def test_log_binomial_tail_is_quick_next_to_the_mean():
                 for upper in (True, False):
                     assert -50.0 < security.log_binomial_tail(k, n, p, upper) <= 0.0
     assert time.perf_counter() - start < 2.0
+
+
+def mp_log_pmf(k: int, n: int, p: float):
+    """ln Binomial(n, p) pmf at k, at 50 digits."""
+    import mpmath
+
+    mpmath.mp.dps = 50
+    p = mpmath.mpf(p)
+    return (mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1)
+            + k * mpmath.log(p) + (n - k) * mpmath.log1p(-p))
+
+
+@pytest.mark.parametrize(
+    "n, p",
+    [(50, 1e-3), (2000, 0.0916), (10**6, 5.089874891926661e-5), (10**6, 0.5),
+     (10**10, 5.089874891926661e-5), (N_MAX, 1e-12), (7, 1 - 1e-4)],
+)
+def test_binomial_support_and_pmf_match_mpmath(n, p):
+    """The pmf is relatively exact to 1e-12 at the support's ends, its mode and
+    between; the ends are the last normal cells; and the mass outside, bounded
+    by geometric series with each side's ratio at its first cell out (the pmf
+    is log-concave), is below 1e-300."""
+    import mpmath
+
+    lo, hi = security.binomial_support(n, p)
+    pmf = security.binomial_pmf(n, p, lo, hi)
+    assert len(pmf) == hi - lo + 1
+    mode = int((n + 1) * mpmath.mpf(p))
+    for k in sorted({lo, hi, mode, (lo + mode) // 2, (mode + hi) // 2, lo + 1, hi - 1} & set(range(lo, hi + 1))):
+        assert pmf[k - lo] == pytest.approx(float(mpmath.exp(mp_log_pmf(k, n, p))), rel=1e-12, abs=0)
+    tiny = math.log(sys.float_info.min)
+    assert mp_log_pmf(lo, n, p) >= tiny and mp_log_pmf(hi, n, p) >= tiny
+
+    def ratio(k):  # pmf(k + 1) / pmf(k)
+        return (n - k) * mpmath.mpf(p) / ((k + 1) * (1 - mpmath.mpf(p)))
+
+    outside = mpmath.mpf(0)
+    if hi < n:
+        assert mp_log_pmf(hi + 1, n, p) < tiny
+        outside += mpmath.exp(mp_log_pmf(hi + 1, n, p)) / (1 - ratio(hi + 1))
+    if lo > 0:
+        assert mp_log_pmf(lo - 1, n, p) < tiny
+        outside += mpmath.exp(mp_log_pmf(lo - 1, n, p)) / (1 - 1 / ratio(lo - 2) if lo > 1 else 1)
+    assert outside < mpmath.mpf(10) ** -300
+
+
+def test_binomial_support_of_a_point_mass():
+    assert security.binomial_support(0, 0.3) == (0, 0)
+    assert security.binomial_support(7, 0.0) == (0, 0)
+    assert security.binomial_support(7, 1.0) == (7, 7)
+    assert security.binomial_pmf(7, 1.0, 7, 7).tolist() == [1.0]
