@@ -409,7 +409,7 @@ def log_binomial_tail(k: int, n: int, p: float, upper: bool) -> float:
 def binomial_support(n: int, p: float) -> tuple[int, int]:
     """The first and last m whose Binomial(n, p) pmf is a positive normal double; the mass outside is below 1e-300."""
     num, den = float(p).as_integer_ratio()
-    if n == 0 or num in (0, den):
+    if num in (0, den):
         return (n, n) if num else (0, 0)
     mode, step, tiny = (n + 1) * num // den, int(math.sqrt(n * num / den * (den - num) / den)) + 1, math.log(2.0**-1022)
     ends = []
