@@ -411,7 +411,7 @@ def binomial_support(n: int, p: float) -> tuple[int, int]:
     num, den = float(p).as_integer_ratio()
     if num in (0, den):
         return (n, n) if num else (0, 0)
-    mode, step, tiny = (n + 1) * num // den, int(math.sqrt(n * num / den * (den - num) / den)) + 1, math.log(2.0**-1022)
+    mode, step, tiny = (n + 1) * num // den, int(math.sqrt(n * p * (1.0 - p))) + 1, math.log(2.0**-1022)
     ends = []
     for sign, room in ((-1, mode), (1, n - mode)):  # the pmf is log-concave: gallop out from the mode, then bisect
         good, bad = 0, room + 1  # the pmf is normal at mode + sign * good, and not at mode + sign * bad
@@ -429,7 +429,7 @@ def binomial_pmf(n: int, p: float, lo: int, hi: int) -> np.ndarray:
     mode, q = (n + 1) * num // den, (den - num) / den
     k = np.arange(lo - mode, hi - mode, dtype=float)  # offsets from the mode
     r1 = ((n * num - mode * den - den + num) / den - k) / ((k + (mode + 1)) * q)
-    step = np.where(r1 < -0.5, np.log(((n - mode) - k) * (num / den) / ((k + (mode + 1)) * q)), np.log1p(r1))
+    step = np.log1p(r1, out=np.log(((n - mode) - k) * (num / den) / ((k + (mode + 1)) * q)), where=r1 >= -0.5)
     log_w = np.cumsum(np.concatenate(([0.0], step)), dtype=np.longdouble)  # ln pmf(lo..hi) - ln pmf(lo)
     w = np.exp((log_w - log_w.max()).astype(float))
     return w / w.sum()

@@ -754,7 +754,9 @@ def mp_log_pmf(k: int, n: int, p: float):
 @pytest.mark.parametrize(
     "n, p",
     [(50, 1e-3), (2000, 0.0916), (10**6, 5.089874891926661e-5), (10**6, 0.5),
-     (10**10, 5.089874891926661e-5), (N_MAX, 1e-12), (7, 1 - 1e-4)],
+     (10**10, 5.089874891926661e-5), (N_MAX, 1e-12), (7, 1 - 1e-4),
+     # a ratio pmf(k+1) / pmf(k) below 1e-16; a p whose denominator is past the largest double
+     (2, 1e-17), (1, 1e-300)],
 )
 def test_binomial_support_and_pmf_match_mpmath(n, p):
     """The pmf is relatively exact to 1e-12 at the support's ends, its mode and
