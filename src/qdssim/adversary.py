@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import discrimination, security
-from .protocol import ACCEPT, N_PHASES, ProtocolParams, decide
+from .protocol import ACCEPT, N_PHASES, ProtocolParams, decide, log_nulls_kept
 
 
 # ------------------------------------------------------------------ repudiation
@@ -63,10 +63,9 @@ def repudiation_frequency(
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     L, target, tail = params.length, strategy.target_mismatch_prob, security.log_binomial_tail
-    kept = tail(math.floor(params.null_abort_fraction * L), L, params.null_click_prob(), upper=False)
     bob = tail(math.ceil(params.auth_threshold * L) - 1, L, target, upper=False)
     charlie = tail(math.ceil(params.verify_threshold * L), L, target, upper=True)
-    return int(rng.binomial(runs, math.exp(bob + charlie + 2.0 * kept))) / runs
+    return int(rng.binomial(runs, math.exp(bob + charlie + 2.0 * log_nulls_kept(params)))) / runs
 
 
 def repudiation_bound(params: ProtocolParams) -> float:
@@ -138,25 +137,22 @@ def forge_campaign(
     phase with the click matrix's probability (``click_matrix`` overrides
     the params' governing matrix). So a run's mismatch count is exactly
     Binomial(L, cost); both outputs are read off one histogram of the runs'
-    counts, in O(min(runs, 75 sqrt(L cost))), and the runs ``decide``
-    accepts on mismatches pass the null budget r * L as one binomial draw.
+    counts, at a cost that grows with its cells, not with runs, and the runs
+    ``decide`` accepts pass the null budget r * L in one binomial draw.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    L, tail = params.length, security.log_binomial_tail
     # the cost can round to just above 1 when every entry is 1
     cost = min(1.0, expected_forge_cost(strategy, params, click_matrix))
-    values, counts = mismatch_histogram(L, cost, runs, rng)
+    values, counts = mismatch_histogram(params.length, cost, runs, rng)
     below = int(counts[decide(values, 0, params, params.verify_threshold) == ACCEPT].sum())
-    kept = math.exp(tail(math.floor(params.null_abort_fraction * L), L, params.null_click_prob(), upper=False))
-    return int(rng.binomial(below, kept)) / runs, sum(map(int.__mul__, values.tolist(), counts.tolist())) / (runs * L)
+    successes = int(rng.binomial(below, math.exp(log_nulls_kept(params))))
+    return successes / runs, float(np.multiply(values, counts, dtype=float).sum()) / (runs * params.length)
 
 
 def mismatch_histogram(L: int, cost: float, runs: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """(values, counts) of ``runs`` Binomial(L, cost) draws: listed, or one multinomial over the support's cells."""
+    """(values, counts) of ``runs`` Binomial(L, cost) draws: one multinomial over the cells of ``binomial_support``."""
     lo, hi = security.binomial_support(L, cost)
-    if runs <= hi - lo:
-        return np.unique(rng.binomial(L, cost, size=runs), return_counts=True)
     pmf = security.binomial_pmf(L, cost, lo, hi)
     order = np.argsort(pmf, kind="stable")  # smallest first, so numpy's running remainder stays exact in the tails
     return lo + order, rng.multinomial(runs, pmf[order])
@@ -209,9 +205,7 @@ def active_forge_budget(
     scaled_min_error, c_prime_min = forge_floor(params, amplitude_scale)
     allowance = math.sqrt(params.epsilon + params.null_abort_fraction)
     margin = c_prime_min - params.verify_threshold - allowance
-    hoeffding_term = (
-        math.exp(-2.0 * margin * margin * params.length) if margin > 0 else 1.0
-    )
+    hoeffding_term = math.exp(-2.0 * margin * margin * params.length) if margin > 0 else 1.0
     epsilon_term = 2.0 * math.exp(-2.0 * params.epsilon**2 * params.length)
     bound = min(1.0, hoeffding_term + epsilon_term)
     return ActiveForgeBound(

@@ -339,6 +339,12 @@ def decide(mismatches, null_counts, params: ProtocolParams, threshold: float):
     return codes
 
 
+def log_nulls_kept(params: ProtocolParams) -> float:
+    """ln P(N <= floor(r * L)), N ~ Binomial(L, d): the exact share of dark-count runs that ``decide`` does not abort."""
+    L, r = params.length, params.null_abort_fraction
+    return security.log_binomial_tail(int(r * L), L, params.null_click_prob(), upper=False)
+
+
 def authenticate(mismatches: int, null_count: int, params: ProtocolParams) -> Outcome:
     """Direct-reception decision: abort on null budget, accept below s_a * L."""
     return OUTCOMES[decide(mismatches, null_count, params, params.auth_threshold)]

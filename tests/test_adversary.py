@@ -274,7 +274,7 @@ def campaign_counts(monkeypatch, strategy, params, runs, rng, C):
     freq, mean_fraction = forge_campaign(strategy, params, runs, rng, C)
     m = np.repeat(*seen["hist"])
     assert len(m) == runs
-    assert mean_fraction == int(m.sum()) / (runs * params.length)
+    assert mean_fraction == pytest.approx(int(m.sum()) / (runs * params.length), rel=1e-12)
     successes = round(freq * runs)
     assert freq == successes / runs
     assert successes <= (m < params.verify_threshold * params.length).sum()
@@ -292,10 +292,10 @@ np.fill_diagonal(COARSE, 0.05)
         (security.reference_cost_matrix().entries, (5e-5, 1e-4), 1.5e-4, 3000),
         # cost 0.0916 against s_v = 0.092: about half the runs succeed
         (COARSE, (0.05, 0.092), 0.01, 3000),
-        # fewer runs than the 812 cells of the support: the runs are listed
+        # fewer runs than the 812 cells of the support
         (COARSE, (0.05, 0.092), 0.01, 800),
     ],
-    ids=["bundled", "coarse", "coarse-listed"],
+    ids=["bundled", "coarse", "coarse-fewer-runs-than-cells"],
 )
 def test_forge_campaign_matches_element_level_chain(
     monkeypatch, C, thresholds, null_abort_fraction, runs
@@ -347,26 +347,29 @@ def pearson_chi2_within_5_sigma(observed, expected):
 
 
 def test_mismatch_histogram_counting_and_listing_agree_in_law():
-    """Up to the support's size the runs are listed, past it counted in one
-    multinomial; pooled listings and one count of as many runs agree cell by
-    cell, and each agrees with the exact pmf."""
+    """The runs counted in one multinomial, in one call or pooled over calls
+    of fewer runs than cells, agree cell by cell with as many runs listed one
+    binomial draw each, and each agrees with the exact pmf."""
     L, cost = 2000, 0.0916
     lo, hi = security.binomial_support(L, cost)
     rng = np.random.default_rng(41)
     calls, runs = 200, hi - lo
-    listed = np.zeros(hi - lo + 1, dtype=np.int64)
+    pooled = np.zeros(hi - lo + 1, dtype=np.int64)
     for _ in range(calls):
         values, counts = adversary.mismatch_histogram(L, cost, runs, rng)
-        assert len(values) < hi - lo + 1 and counts.sum() == runs
-        np.add.at(listed, values - lo, counts)
+        assert counts.sum() == runs
+        pooled[values - lo] += counts
     values, counts = adversary.mismatch_histogram(L, cost, calls * runs, rng)
     assert sorted(values.tolist()) == list(range(lo, hi + 1))  # one cell per support value
-    counted = np.zeros_like(listed)
+    counted = np.zeros_like(pooled)
     counted[values - lo] = counts
+    listed = np.bincount(rng.binomial(L, cost, size=calls * runs) - lo, minlength=hi - lo + 1)
+    assert len(listed) == hi - lo + 1
     two_sample_chi2_within_5_sigma(listed, counted)
+    two_sample_chi2_within_5_sigma(listed, pooled)
     expected = calls * runs * stats.binom.pmf(np.arange(lo, hi + 1), L, cost)
-    pearson_chi2_within_5_sigma(listed, expected)
-    pearson_chi2_within_5_sigma(counted, expected)
+    for hist in (listed, pooled, counted):
+        pearson_chi2_within_5_sigma(hist, expected)
 
 
 @pytest.mark.parametrize(
