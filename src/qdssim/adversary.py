@@ -205,7 +205,9 @@ def active_forge_budget(
     scaled_min_error, c_prime_min = forge_floor(params, amplitude_scale)
     allowance = math.sqrt(params.epsilon + params.null_abort_fraction)
     margin = c_prime_min - params.verify_threshold - allowance
-    hoeffding_term = math.exp(-2.0 * margin * margin * params.length) if margin > 0 else 1.0
+    hoeffding_term = (
+        math.exp(-2.0 * margin * margin * params.length) if margin > 0 else 1.0
+    )
     epsilon_term = 2.0 * math.exp(-2.0 * params.epsilon**2 * params.length)
     bound = min(1.0, hoeffding_term + epsilon_term)
     return ActiveForgeBound(
